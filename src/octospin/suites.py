@@ -1,10 +1,14 @@
 """Named verification suites and the report-producing runner.
 
-Each suite checks a family of claims and returns one record per claim:
-a stable claim id, the identity in plain formula text, how many instances
-ran, and descriptions of any failing instances.  All randomness derives
-from (seed, suite, claim) streams, so a report is a pure function of its
-configuration and two runs with the same config are byte-identical.
+Every claim of the report is data in one table, ``CLAIMS``: per suite, a
+sequence of entries, each holding the claim ids and statements it decides,
+an instance count as a function of ``trials``, a generator of exact inputs
+per seed, and a check.  One runner turns an entry into ``ClaimResult``s: it
+converts the exact inputs to the backend, runs the check on each instance,
+records an error the check raises as a failure of that instance, describes
+failures and truncates them.  All randomness derives from (seed, suite,
+claim) streams, so a report is a pure function of its configuration and two
+runs with the same config are byte-identical.
 
 Instances are always generated in exact rational arithmetic; the float
 backend receives the same instances converted to floats, which keeps the
@@ -13,10 +17,11 @@ two backends comparable seed-for-seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from . import degree as degree_mod
 from .geometry import (
@@ -49,6 +54,8 @@ from .octonion import (
 )
 from .scalar import (
     Backend,
+    CIRCLE_HALF,
+    CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
     angle_sum,
@@ -133,22 +140,147 @@ class ClaimResult:
         return out
 
 
-def _run_claim(claim, statement, instances, check, details=None) -> ClaimResult:
-    """Run ``check(index) -> failure-description-or-None`` over instances."""
-    failures = []
-    for k in range(instances):
-        bad = check(k)
-        if bad is not None:
-            failures.append(bad)
-    return ClaimResult(
-        claim=claim,
-        statement=statement,
-        instances=instances,
-        failure_count=len(failures),
-        failures=failures[:MAX_REPORTED_FAILURES],
-        passed=not failures,
-        details=details,
+def _trials(trials: int) -> int:
+    return trials
+
+
+def _once(trials: int) -> int:
+    return 1
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One table entry: the claims that one check decides per instance.
+
+    ``statements`` maps each claim id to its formula text, in report order.
+    ``inputs(seed, trials)`` yields one tuple of exact inputs per instance,
+    of which ``count(trials)`` (by default ``trials``) are taken.
+    ``check(backend, *inputs)`` returns a verdict, or a tuple of verdicts
+    (one per claim id) when the entry decides several claims from one
+    computation.  A verdict is None for a pass, a failure record, or a
+    ``Tally``.
+    """
+
+    statements: Dict[str, str]
+    inputs: Callable[[int, int], Iterable[tuple]]
+    check: Callable[..., object]
+    count: Callable[[int], int] = _trials
+
+
+@dataclass
+class Tally:
+    """Verdict of a check that decides a whole claim in one run.
+
+    It replaces the claim's instance count and failures, and adds details.
+    """
+
+    instances: int
+    failures: list
+    details: Optional[dict]
+
+
+#: Input types that carry backend scalars.  Other inputs (Fractions, ints,
+#: tuples of Fractions) stay exact: they are indices and the coefficients a
+#: failure record prints as p/q on every backend.
+_BACKEND_VALUES = (Octonion, OrientedPlane, CirclePoint, Matrix8)
+
+
+def _describe(x, backend: Backend):
+    """JSON form of a failure record, on the backend the check ran on."""
+    if isinstance(x, Octonion):
+        return serialize(x, backend)
+    if isinstance(x, OrientedPlane):
+        return {"u": serialize(x.u, backend), "v": serialize(x.v, backend)}
+    if isinstance(x, CirclePoint):
+        return {"c": backend.format(x.c), "s": backend.format(x.s)}
+    if isinstance(x, Fraction):
+        return EXACT.format(x)
+    if isinstance(x, dict):
+        return {key: _describe(value, backend) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_describe(value, backend) for value in x]
+    return x
+
+
+def _run(entry: Claim, backend: Backend, seed: int, trials: int) -> List[ClaimResult]:
+    """Check every instance of one table entry and build its ClaimResults.
+
+    A ValueError or ArithmeticError raised by the check becomes a failure
+    record of that instance for each claim of the entry; errors raised while
+    generating inputs, and other exception types, propagate.
+    """
+    ids = list(entry.statements)
+    count = entry.count(trials)
+    tallies = {cid: Tally(count, [], None) for cid in ids}
+    for k, exact_inputs in zip(range(count), entry.inputs(seed, trials)):
+        inputs = [
+            x.map_scalars(backend.from_fraction) if isinstance(x, _BACKEND_VALUES) else x
+            for x in exact_inputs
+        ]
+        try:
+            verdicts = entry.check(backend, *inputs)
+        except (ValueError, ArithmeticError) as err:
+            verdicts = ({"trial": k, "error": f"{type(err).__name__}: {err}"},) * len(ids)
+        else:
+            if len(ids) == 1:
+                verdicts = (verdicts,)
+        for cid, verdict in zip(ids, verdicts):
+            if isinstance(verdict, Tally):
+                tallies[cid] = verdict
+            elif verdict is not None:
+                tallies[cid].failures.append(_describe(verdict, backend))
+    return [
+        ClaimResult(
+            claim=cid,
+            statement=entry.statements[cid],
+            instances=tally.instances,
+            failure_count=len(tally.failures),
+            failures=tally.failures[:MAX_REPORTED_FAILURES],
+            passed=not tally.failures,
+            details=tally.details,
+        )
+        for cid, tally in tallies.items()
+    ]
+
+
+# --------------------------------------------------------------------------
+# Instance counts and exact input generators
+
+
+def _fixed(*values):
+    """The same inputs for every instance."""
+    return lambda seed, trials: itertools.repeat(values)
+
+
+def _run_config(seed: int, trials: int):
+    """The run's own (seed, trials), for checks that draw their instances."""
+    return itertools.repeat((seed, trials))
+
+
+def _indexed(make):
+    """Inputs made afresh by ``make(seed, k)`` for each instance index k."""
+    return lambda seed, trials: (make(seed, k) for k in itertools.count())
+
+
+def _streamed(tag, name, draw):
+    """Inputs drawn in turn by ``draw(rng)`` from one (seed, tag, name) stream."""
+
+    def inputs(seed, trials):
+        rng = derived_rng(seed, tag, name)
+        while True:
+            yield draw(rng)
+
+    return inputs
+
+
+def _joined(*parts):
+    """Instance by instance, the concatenated inputs of several generators."""
+    return lambda seed, trials: (
+        sum(xs, ()) for xs in zip(*(part(seed, trials) for part in parts))
     )
+
+
+_index = _indexed(lambda seed, k: (k,))
 
 
 def _random_angle(rng) -> CirclePoint:
@@ -172,1001 +304,547 @@ def _orthogonal_to(rng, others) -> Octonion:
             return a
 
 
-def _describe_octonion(a: Octonion, backend: Backend) -> list:
-    return serialize(a, backend)
+def _plane(tag, name, angles=1, extra=None, restrict="R7"):
+    """A random plane, then ``angles`` circle points and ``extra(rng, plane)``
+    drawn in that order from the (seed, tag, name, k) stream of instance k."""
+
+    def make(seed, k):
+        p = random_orthonormal_pair(seed, restrict, (name, k))
+        rng = derived_rng(seed, tag, name, k)
+        drawn = (p,) + tuple(_random_angle(rng) for _ in range(angles))
+        return drawn + (extra(rng, p) if extra else ())
+
+    return _indexed(make)
 
 
-def _describe_plane(p: OrientedPlane, backend: Backend) -> dict:
-    return {"u": serialize(p.u, backend), "v": serialize(p.v, backend)}
+def _pair(rng):
+    return random_octonion(rng), random_octonion(rng)
 
 
-def _describe_angle(t: CirclePoint, backend: Backend) -> dict:
-    return {"c": backend.format(t.c), "s": backend.format(t.s)}
+def _triple(rng):
+    return tuple(random_octonion(rng) for _ in range(3))
 
 
-def _exact_plane(seed, restrict, index) -> OrientedPlane:
-    return random_orthonormal_pair(seed, restrict, index)
+def _octonion_and_e0(rng):
+    return random_octonion(rng), Octonion.basis(0)
 
 
-# --------------------------------------------------------------------------
-# octonion-identities
+def _orthogonal_pair(rng):
+    x = _nonzero_imaginary(rng)
+    return x, _orthogonal_to(rng, [x])
 
 
-def suite_octonion_identities(backend: Backend, seed: int, trials: int):
-    conv = backend.from_fraction
-    results = []
-
-    def pair_stream(name):
-        rng = derived_rng(seed, "octonion", name)
-        while True:
-            yield (
-                random_octonion(rng).map_scalars(conv),
-                random_octonion(rng).map_scalars(conv),
-            )
-
-    def triple_stream(name):
-        rng = derived_rng(seed, "octonion", name)
-        while True:
-            yield tuple(
-                random_octonion(rng).map_scalars(conv) for _ in range(3)
-            )
-
-    e = [Octonion.basis(i).map_scalars(conv) for i in range(8)]
-
-    results.append(
-        _run_claim(
-            "octonion.e3e2-equals-minus-e1",
-            "e3 * e2 = -e1",
-            1,
-            lambda k: None if oct_eq(mul(e[3], e[2]), -e[1], backend) else "e3*e2 != -e1",
-        )
-    )
-
-    pairs = pair_stream("alternative")
-
-    def check_alternative(k):
-        x, y = next(pairs)
-        left = oct_eq(mul(x, mul(x, y)), mul(mul(x, x), y), backend)
-        right = oct_eq(mul(mul(y, x), x), mul(y, mul(x, x)), backend)
-        if left and right:
-            return None
-        return {"x": _describe_octonion(x, backend), "y": _describe_octonion(y, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.alternative",
-            "x*(x*y) = (x*x)*y and (y*x)*x = y*(x*x)",
-            trials,
-            check_alternative,
-        )
-    )
-
-    triples1 = triple_stream("moufang-1")
-
-    def check_moufang_1(k):
-        x, y, z = next(triples1)
-        a = mul(mul(x, mul(y, z)), x)
-        b = mul(x, mul(mul(y, z), x))
-        c = mul(mul(x, y), mul(z, x))
-        if oct_eq(a, b, backend) and oct_eq(b, c, backend):
-            return None
-        return {"x": _describe_octonion(x, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.moufang-bimultiplication",
-            "(x*(y*z))*x = x*((y*z)*x) = (x*y)*(z*x)",
-            trials,
-            check_moufang_1,
-        )
-    )
-
-    triples2 = triple_stream("moufang-2")
-
-    def check_moufang_2(k):
-        x, y, z = next(triples2)
-        if oct_eq(mul(mul(x, mul(y, x)), z), mul(x, mul(y, mul(x, z))), backend):
-            return None
-        return {"x": _describe_octonion(x, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.moufang-left",
-            "(x*(y*x))*z = x*(y*(x*z))",
-            trials,
-            check_moufang_2,
-        )
-    )
-
-    triples3 = triple_stream("moufang-3")
-
-    def check_moufang_3(k):
-        x, y, z = next(triples3)
-        if oct_eq(mul(y, mul(x, mul(z, x))), mul(mul(mul(y, x), z), x), backend):
-            return None
-        return {"x": _describe_octonion(x, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.moufang-right",
-            "y*(x*(z*x)) = ((y*x)*z)*x",
-            trials,
-            check_moufang_3,
-        )
-    )
-
-    anti_rng = derived_rng(seed, "octonion", "anticommute")
-
-    def check_anticommute(k):
-        x = _nonzero_imaginary(anti_rng)
-        y = _orthogonal_to(anti_rng, [x])
-        x, y = x.map_scalars(conv), y.map_scalars(conv)
-        if oct_eq(mul(x, y), -mul(y, x), backend):
-            return None
-        return {"x": _describe_octonion(x, backend), "y": _describe_octonion(y, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.anticommute-orthogonal",
-            "x*y = -y*x for orthogonal purely imaginary x, y",
-            trials,
-            check_anticommute,
-        )
-    )
-
-    fano_pairs = [(a, b) for (a, b, _) in FANO_CYCLES]
-
-    def check_unit_triple(k):
-        if k < len(fano_pairs):
-            a, b = fano_pairs[k]
-            x, y = e[a], e[b]
-        else:
-            p = _exact_plane(seed, "R7", ("unit-triple", k)).map_scalars(conv)
-            x, y = p.u, p.v
-        z = mul(x, y)
-        if oct_eq(mul(y, z), x, backend):
-            return None
-        return {"x": _describe_octonion(x, backend), "y": _describe_octonion(y, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.unit-triple-cycle",
-            "y*(x*y) = x for orthonormal purely imaginary x, y",
-            len(fano_pairs) + trials,
-            check_unit_triple,
-        )
-    )
-
-    assoc_rng = derived_rng(seed, "octonion", "anti-associative")
-
-    def check_anti_associative(k):
-        x = _nonzero_imaginary(assoc_rng)
-        y = _orthogonal_to(assoc_rng, [x])
-        xy = mul(x, y)
-        z = _orthogonal_to(assoc_rng, [x, y, xy])
-        x, y, z = (v.map_scalars(conv) for v in (x, y, z))
-        if oct_eq(mul(x, mul(y, z)), -mul(mul(x, y), z), backend):
-            return None
-        return {
-            "x": _describe_octonion(x, backend),
-            "y": _describe_octonion(y, backend),
-            "z": _describe_octonion(z, backend),
-        }
-
-    results.append(
-        _run_claim(
-            "octonion.orthogonal-anti-associative",
-            "x*(y*z) = -(x*y)*z when x, y, z, x*y are mutually orthogonal imaginary",
-            trials,
-            check_anti_associative,
-        )
-    )
-
-    norm_pairs = pair_stream("norm")
-
-    def check_norm(k):
-        x, y = next(norm_pairs)
-        if backend.eq(norm_sq(mul(x, y)), norm_sq(x) * norm_sq(y)):
-            return None
-        return {"x": _describe_octonion(x, backend), "y": _describe_octonion(y, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.norm-multiplicative",
-            "|x*y|^2 = |x|^2 * |y|^2",
-            trials,
-            check_norm,
-        )
-    )
-
-    conj_rng = derived_rng(seed, "octonion", "conjugation")
-
-    def check_conj(k):
-        x = random_octonion(conj_rng).map_scalars(conv)
-        expected = e[0].scale(norm_sq(x))
-        if oct_eq(conj(conj(x)), x, backend) and oct_eq(mul(x, conj(x)), expected, backend):
-            return None
-        return {"x": _describe_octonion(x, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.conjugation",
-            "conj(conj(x)) = x and x*conj(x) = |x|^2 e0",
-            trials,
-            check_conj,
-        )
-    )
-
-    div_rng = derived_rng(seed, "octonion", "right-division")
-
-    def check_division(k):
-        b = random_octonion(div_rng).map_scalars(conv)
-        u = random_octonion(div_rng)
-        while norm_sq(u) == 0:
-            u = random_octonion(div_rng)
-        u = u.map_scalars(conv)
-        if oct_eq(right_divide(mul(b, u), u), b, backend):
-            return None
-        return {"b": _describe_octonion(b, backend), "u": _describe_octonion(u, backend)}
-
-    results.append(
-        _run_claim(
-            "octonion.right-division",
-            "right_divide(b*u, u) = b for u != 0",
-            trials,
-            check_division,
-        )
-    )
-
-    def check_table(k):
-        seen = {}
-        for a, b, c in FANO_CYCLES:
-            for pair in ((a, b), (b, c), (c, a)):
-                key = frozenset(pair)
-                if key in seen:
-                    return f"pair {sorted(key)} appears on two lines"
-                seen[key] = True
-        if len(seen) != 21:
-            return "table does not cover all 21 imaginary pairs"
-        for i in range(1, 8):
-            for j in range(1, 8):
-                if i == j:
-                    continue
-                if FANO_INDEX[i][j] != FANO_INDEX[j][i]:
-                    return f"index table not symmetric at ({i},{j})"
-                if FANO_SIGN[i][j] != -FANO_SIGN[j][i]:
-                    return f"sign table not antisymmetric at ({i},{j})"
-        return None
-
-    results.append(
-        _run_claim(
-            "octonion.fano-consistency",
-            "every imaginary pair lies on exactly one oriented line; ei*ej = -ej*ei",
-            1,
-            check_table,
-        )
-    )
-
-    return results
+def _orthogonal_triple(rng):
+    x, y = _orthogonal_pair(rng)
+    return x, y, _orthogonal_to(rng, [x, y, mul(x, y)])
 
 
-# --------------------------------------------------------------------------
-# rotation-laws
+def _divisible_pair(rng):
+    b = random_octonion(rng)
+    u = random_octonion(rng)
+    while norm_sq(u) == 0:
+        u = random_octonion(rng)
+    return b, u
 
 
-def suite_rotation_laws(backend: Backend, seed: int, trials: int):
-    conv = backend.from_fraction
-    results = []
+def _unit_triple_inputs(seed, k):
+    if k < len(FANO_CYCLES):
+        a, b, _ = FANO_CYCLES[k]
+        return Octonion.basis(a), Octonion.basis(b)
+    p = random_orthonormal_pair(seed, "R7", ("unit-triple", k))
+    return p.u, p.v
 
-    def instance(name, k):
-        p = _exact_plane(seed, "R7", (name, k))
-        rng = derived_rng(seed, "rotation", name, k)
-        t = _random_angle(rng)
-        t2 = _random_angle(rng)
-        return p, t, t2, rng
 
-    def check_one_parameter(k):
-        p, t, t2, _ = instance("one-parameter", k)
-        p, t, t2 = p.map_scalars(conv), t.map_scalars(conv), t2.map_scalars(conv)
-        lhs = plane_rotation(p, angle_sum(t, t2), backend)
-        rhs = compose(plane_rotation(p, t, backend), plane_rotation(p, t2, backend))
-        if mat_eq(lhs, rhs, backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "t": _describe_angle(t, backend)}
+def _complement_vector(rng, p):
+    return (_orthogonal_to(rng, [p.u, p.v]),)
 
-    results.append(
-        _run_claim(
-            "rotation.one-parameter",
-            "rot(P, t + t') = rot(P, t) * rot(P, t')",
-            trials,
-            check_one_parameter,
-        )
-    )
 
-    def check_fixes_complement(k):
-        p, t, _, rng = instance("fixes-complement", k)
-        z = _orthogonal_to(rng, [p.u, p.v])
-        p, t, z = p.map_scalars(conv), t.map_scalars(conv), z.map_scalars(conv)
-        if oct_eq(apply(plane_rotation(p, t, backend), z), z, backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "z": _describe_octonion(z, backend)}
-
-    results.append(
-        _run_claim(
-            "rotation.fixes-complement",
-            "rot(P, t) fixes every vector orthogonal to the plane",
-            trials,
-            check_fixes_complement,
-        )
-    )
-
-    def check_orientation(k):
-        p, t, _, _ = instance("orientation", k)
-        p, t = p.map_scalars(conv), t.map_scalars(conv)
-        lhs = plane_rotation(p, t, backend)
-        rhs = plane_rotation(OrientedPlane(p.v, p.u), t.inverse(), backend)
-        if mat_eq(lhs, rhs, backend):
-            return None
-        return {"plane": _describe_plane(p, backend)}
-
-    results.append(
-        _run_claim(
-            "rotation.orientation-reversal",
-            "rot([u,v], t) = rot([v,u], -t)",
-            trials,
-            check_orientation,
-        )
-    )
-
-    def check_scaling(k):
-        p, t, _, rng = instance("scaling", k)
+def _scaled_plane(rng, p):
+    lam = random_rational(rng, 9, 4)
+    while lam == 0:
         lam = random_rational(rng, 9, 4)
-        while lam == 0:
-            lam = random_rational(rng, 9, 4)
-        scaled = OrientedPlane(p.u.scale(lam), p.v.scale(lam))
-        p, t, scaled = p.map_scalars(conv), t.map_scalars(conv), scaled.map_scalars(conv)
-        if mat_eq(plane_rotation(scaled, t, backend), plane_rotation(p, t, backend), backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "lambda": EXACT.format(lam)}
-
-    results.append(
-        _run_claim(
-            "rotation.scaling-invariance",
-            "rot([a*u, a*v], t) = rot([u, v], t) for a != 0",
-            trials,
-            check_scaling,
-        )
-    )
-
-    def check_basis(k):
-        p, t, s, _ = instance("basis", k)
-        p, t, s = p.map_scalars(conv), t.map_scalars(conv), s.map_scalars(conv)
-        lhs = plane_rotation(rotate_plane_basis(p, s), t, backend)
-        if mat_eq(lhs, plane_rotation(p, t, backend), backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "s": _describe_angle(s, backend)}
-
-    results.append(
-        _run_claim(
-            "rotation.basis-invariance",
-            "rot(P, t) does not depend on the spanning pair of P",
-            trials,
-            check_basis,
-        )
-    )
-
-    def check_so(k):
-        p, t, _, _ = instance("so", k)
-        p, t = p.map_scalars(conv), t.map_scalars(conv)
-        if so_check(plane_rotation(p, t, backend), backend).passed:
-            return None
-        return {"plane": _describe_plane(p, backend), "t": _describe_angle(t, backend)}
-
-    results.append(
-        _run_claim(
-            "rotation.special-orthogonal",
-            "every plane rotation passes the SO(8) check",
-            trials,
-            check_so,
-        )
-    )
-
-    def check_cayley(k):
-        rng = derived_rng(seed, "rotation", "cayley", k)
-        q = cayley_orthogonal(random_antisymmetric(rng, range(8)))
-        if so_check(q.map_scalars(conv), backend).passed:
-            return None
-        return {"trial": k}
-
-    results.append(
-        _run_claim(
-            "geometry.cayley-special-orthogonal",
-            "Cayley transforms of antisymmetric matrices pass the SO(8) check",
-            trials,
-            check_cayley,
-        )
-    )
-
-    return results
+    return OrientedPlane(p.u.scale(lam), p.v.scale(lam)), lam
 
 
-# --------------------------------------------------------------------------
-# f7-well-defined
+def _w_coefficients(rng, p):
+    """Exact coefficients (a, b, c, d), not all zero, of w' in the w-frame."""
+    while True:
+        coeffs = tuple(random_rational(rng, 6, 4) for _ in range(4))
+        if any(coeffs):
+            return (coeffs,)
 
 
-def suite_f7_well_defined(backend: Backend, seed: int, trials: int):
-    conv = backend.from_fraction
-    results = []
-
-    def instance(name, k):
-        p = _exact_plane(seed, "R7", (name, k))
-        rng = derived_rng(seed, "f7wd", name, k)
-        t = _random_angle(rng)
-        return p, t, rng
-
-    def check_frame(k):
-        p, _, _ = instance("frame", k)
-        p = p.map_scalars(conv)
-        w = choose_w(p, backend)
-        frame = basis_b(p, w, backend)
-        frame_table(frame, backend)
-        return None
-
-    results.append(
-        _run_claim(
-            "frame.orthogonal-basis",
-            "(e0, x, y, xy, w, wx, wy, w(xy)) is orthogonal and multiplies "
-            "into signed frame elements",
-            trials,
-            check_frame,
-        )
-    )
-
-    def check_plane_basis(k):
-        p, t, rng = instance("plane-basis", k)
-        s = _random_angle(rng)
-        p, t, s = p.map_scalars(conv), t.map_scalars(conv), s.map_scalars(conv)
-        w = choose_w(p, backend)
-        lhs = f7(rotate_plane_basis(p, s), t, w, backend)
-        if mat_eq(lhs, f7(p, t, w, backend), backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "s": _describe_angle(s, backend)}
-
-    results.append(
-        _run_claim(
-            "f7.plane-basis-invariance",
-            "the rotation product is invariant under rotating the spanning pair",
-            trials,
-            check_plane_basis,
-        )
-    )
-
-    def random_w_combo(rng, frame):
-        while True:
-            a, b, c, d = (random_rational(rng, 6, 4) for _ in range(4))
-            if a or b or c or d:
-                break
-        w2 = (
-            frame.elements[4].scale(a)
-            + frame.elements[5].scale(b)
-            + frame.elements[6].scale(c)
-            + frame.elements[7].scale(d)
-        )
-        return (a, b, c, d), w2
-
-    def check_w_invariance(k):
-        p, t, rng = instance("w-invariance", k)
-        p, t = p.map_scalars(conv), t.map_scalars(conv)
-        w = choose_w(p, backend)
-        frame = basis_b(p, w, backend)
-        coeffs, w2 = random_w_combo(rng, frame)
-        w2 = w2.map_scalars(conv)
-        if mat_eq(f7(p, t, w2, backend), f7(p, t, w, backend), backend):
-            return None
-        return {
-            "plane": _describe_plane(p, backend),
-            "coefficients": [EXACT.format(c) for c in coeffs],
-        }
-
-    results.append(
-        _run_claim(
-            "f7.w-choice-invariance",
-            "any nonzero w' = a*w + b*wx + c*wy + d*w(xy) gives the same map",
-            trials,
-            check_w_invariance,
-        )
-    )
-
-    def expansion_check(which, combine):
-        def check(k):
-            p, _, rng = instance(f"w-expansion-{which}", k)
-            p = p.map_scalars(conv)
-            w = choose_w(p, backend)
-            frame = basis_b(p, w, backend)
-            (a, b, c, d), w2 = random_w_combo(rng, frame)
-            _, _, _, xy, wv, wx, wy, wxy = frame.elements
-            factor = {"x": frame.elements[1], "y": frame.elements[2], "xy": xy}[which]
-            lhs = mul(w2, factor)
-            rhs = combine(a, b, c, d, wv, wx, wy, wxy)
-            if oct_eq(lhs, rhs, backend):
-                return None
-            return {"plane": _describe_plane(p, backend)}
-
-        return check
-
-    results.append(
-        _run_claim(
-            "f7.w-expansion-x",
-            "w'*x = -b*w + a*wx - d*wy + c*w(xy)",
-            trials,
-            expansion_check(
-                "x",
-                lambda a, b, c, d, wv, wx, wy, wxy: wv.scale(-b)
-                + wx.scale(a)
-                + wy.scale(-d)
-                + wxy.scale(c),
-            ),
-        )
-    )
-    results.append(
-        _run_claim(
-            "f7.w-expansion-y",
-            "w'*y = -c*w + d*wx + a*wy - b*w(xy)",
-            trials,
-            expansion_check(
-                "y",
-                lambda a, b, c, d, wv, wx, wy, wxy: wv.scale(-c)
-                + wx.scale(d)
-                + wy.scale(a)
-                + wxy.scale(-b),
-            ),
-        )
-    )
-    results.append(
-        _run_claim(
-            "f7.w-expansion-xy",
-            "w'*(xy) = -d*w - c*wx + b*wy + a*w(xy)",
-            trials,
-            expansion_check(
-                "xy",
-                lambda a, b, c, d, wv, wx, wy, wxy: wv.scale(-d)
-                + wx.scale(-c)
-                + wy.scale(b)
-                + wxy.scale(a),
-            ),
-        )
-    )
-
-    def check_tail_action(k):
-        p, t, rng = instance("tail-action", k)
-        p, t = p.map_scalars(conv), t.map_scalars(conv)
-        w = choose_w(p, backend)
-        frame = basis_b(p, w, backend)
-        _, w2 = random_w_combo(rng, frame)
-        w2 = w2.map_scalars(conv)
-        xy = frame.elements[3]
-        _, _, r3, r4 = f7_factors(p, t, w, backend)
-        psi = compose(r3, r4)
-        lhs = apply(psi, w2)
-        rhs = w2.scale(t.c) + mul(w2, xy).scale(t.s)
-        if oct_eq(lhs, rhs, backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "t": _describe_angle(t, backend)}
-
-    results.append(
-        _run_claim(
-            "f7.tail-pair-action",
-            "the last two rotation factors send w' to c*w' + s*(w'*(xy))",
-            trials,
-            check_tail_action,
-        )
-    )
-
-    return results
+def _cayley_inputs(seed, k):
+    rng = derived_rng(seed, "rotation", "cayley", k)
+    return cayley_orthogonal(random_antisymmetric(rng, range(8))), k
 
 
-# --------------------------------------------------------------------------
-# spin7-membership
-
-
-def _random_unit_vector(seed, k) -> Octonion:
+def _unit_vector(seed, k):
     rng = derived_rng(seed, "unit-vector", k)
     q = cayley_orthogonal(random_antisymmetric(rng, range(8)))
-    return q.column(rng.randrange(8))
+    return q.column(rng.randrange(8)), k
 
 
-def suite_spin7_membership(backend: Backend, seed: int, trials: int):
-    conv = backend.from_fraction
-    results = []
+def _angle_parameters(seed, k):
+    rng = derived_rng(seed, "square", "p-map", k)
+    return random_rational(rng, 8, 5), random_rational(rng, 8, 5), k
 
-    def rand_inputs(name, k, restrict="R7"):
-        p = _exact_plane(seed, restrict, (name, k)).map_scalars(conv)
-        rng = derived_rng(seed, "membership", name, k)
-        t = _random_angle(rng).map_scalars(conv)
-        return p, t
 
-    def check_f7(k):
-        p, t = rand_inputs("f7", k)
-        report = verify_spin7(f7(p, t, None, backend), backend)
-        if report.is_member:
-            return None
-        return {
-            "plane": _describe_plane(p, backend),
-            "t": _describe_angle(t, backend),
-            "relation_failures": [list(x) for x in report.relation_failures[:4]],
-        }
+# --------------------------------------------------------------------------
+# Checks: check(backend, *inputs) -> verdict(s)
 
-    results.append(
-        _run_claim(
-            "spin7.f7-image",
-            "every value of the four-rotation product satisfies the "
-            "membership relation g(a) g~(b) = g~(a*b)",
-            trials,
-            check_f7,
-        )
-    )
 
-    def check_f5(k):
-        p, t = rand_inputs("f5", k, restrict="R5")
-        if verify_spin7(f5(p, t, backend), backend).is_member:
-            return None
-        return {"plane": _describe_plane(p, backend)}
+def _e3_e2(b, e3, e2, e1):
+    return None if oct_eq(mul(e3, e2), -e1, b) else "e3*e2 != -e1"
 
-    results.append(
-        _run_claim(
-            "spin7.f5-image",
-            "every value of the restricted map lies in Spin(7)",
-            trials,
-            check_f5,
-        )
-    )
 
-    def check_product(k):
-        p7, t = rand_inputs("product7", k)
-        p5, t2 = rand_inputs("product5", k, restrict="R5")
-        if verify_spin7(f7xf5(p7, t, p5, t2, backend), backend).is_member:
-            return None
-        return {"trial": k}
+def _alternative(b, x, y):
+    left = oct_eq(mul(x, mul(x, y)), mul(mul(x, x), y), b)
+    right = oct_eq(mul(mul(y, x), x), mul(y, mul(x, x)), b)
+    return None if left and right else {"x": x, "y": y}
 
-    results.append(
-        _run_claim(
-            "spin7.product-image",
-            "pointwise products of the two maps lie in Spin(7)",
-            trials,
-            check_product,
-        )
-    )
 
-    minus_identity = (-Matrix8.identity()).map_scalars(conv)
-    results.append(
-        _run_claim(
-            "spin7.minus-identity",
-            "-I lies in Spin(7) (the nontrivial deck transformation)",
-            1,
-            lambda k: None
-            if verify_spin7(minus_identity, backend).is_member
-            else "verify_spin7(-I) rejected",
-        )
-    )
+def _moufang_bimultiplication(b, x, y, z):
+    p = mul(mul(x, mul(y, z)), x)
+    q = mul(x, mul(mul(y, z), x))
+    r = mul(mul(x, y), mul(z, x))
+    return None if oct_eq(p, q, b) and oct_eq(q, r, b) else {"x": x}
 
-    def check_negative_control(k):
-        plane = OrientedPlane(Octonion.basis(0), Octonion.basis(1)).map_scalars(conv)
-        quarter = CirclePoint(conv(Fraction(0)), conv(Fraction(1)))
-        report = verify_spin7(plane_rotation(plane, quarter, backend), backend)
-        if not report.is_member and report.relation_failures:
-            return None
-        return "a single-plane rotation of R^8 was accepted as a member"
 
-    results.append(
-        _run_claim(
-            "spin7.single-rotation-rejected",
-            "a generic single-plane rotation of R^8 violates the membership relation",
-            1,
-            check_negative_control,
-        )
-    )
+def _moufang_left(b, x, y, z):
+    ok = oct_eq(mul(mul(x, mul(y, x)), z), mul(x, mul(y, mul(x, z))), b)
+    return None if ok else {"x": x}
 
-    def check_spin8(k):
-        p7, t = rand_inputs("spin8-7", k)
-        p5, t2 = rand_inputs("spin8-5", k, restrict="R5")
-        s = _random_unit_vector(seed, k)
-        s_b = s.map_scalars(conv)
-        matrix, s_out = spin8_map(p7, t, p5, t2, s_b, backend)
-        if not verify_spin7(matrix, backend).is_member:
-            return {"trial": k, "reason": "first component not a member"}
-        if s_out is not s_b:
-            return {"trial": k, "reason": "s vector did not pass through"}
+
+def _moufang_right(b, x, y, z):
+    ok = oct_eq(mul(y, mul(x, mul(z, x))), mul(mul(mul(y, x), z), x), b)
+    return None if ok else {"x": x}
+
+
+def _anticommute(b, x, y):
+    return None if oct_eq(mul(x, y), -mul(y, x), b) else {"x": x, "y": y}
+
+
+def _unit_triple(b, x, y):
+    return None if oct_eq(mul(y, mul(x, y)), x, b) else {"x": x, "y": y}
+
+
+def _anti_associative(b, x, y, z):
+    ok = oct_eq(mul(x, mul(y, z)), -mul(mul(x, y), z), b)
+    return None if ok else {"x": x, "y": y, "z": z}
+
+
+def _norm_multiplicative(b, x, y):
+    ok = b.eq(norm_sq(mul(x, y)), norm_sq(x) * norm_sq(y))
+    return None if ok else {"x": x, "y": y}
+
+
+def _conjugation(b, x, e0):
+    ok = oct_eq(conj(conj(x)), x, b) and oct_eq(mul(x, conj(x)), e0.scale(norm_sq(x)), b)
+    return None if ok else {"x": x}
+
+
+def _right_division(b, v, u):
+    return None if oct_eq(right_divide(mul(v, u), u), v, b) else {"b": v, "u": u}
+
+
+def _fano_consistency(b):
+    seen = {}
+    for x, y, z in FANO_CYCLES:
+        for pair in ((x, y), (y, z), (z, x)):
+            key = frozenset(pair)
+            if key in seen:
+                return f"pair {sorted(key)} appears on two lines"
+            seen[key] = True
+    if len(seen) != 21:
+        return "table does not cover all 21 imaginary pairs"
+    for i in range(1, 8):
+        for j in range(1, 8):
+            if i == j:
+                continue
+            if FANO_INDEX[i][j] != FANO_INDEX[j][i]:
+                return f"index table not symmetric at ({i},{j})"
+            if FANO_SIGN[i][j] != -FANO_SIGN[j][i]:
+                return f"sign table not antisymmetric at ({i},{j})"
+    return None
+
+
+def _one_parameter(b, p, t, t2):
+    lhs = plane_rotation(p, angle_sum(t, t2), b)
+    rhs = compose(plane_rotation(p, t, b), plane_rotation(p, t2, b))
+    return None if mat_eq(lhs, rhs, b) else {"plane": p, "t": t}
+
+
+def _fixes_complement(b, p, t, t2, z):
+    ok = oct_eq(apply(plane_rotation(p, t, b), z), z, b)
+    return None if ok else {"plane": p, "z": z}
+
+
+def _orientation_reversal(b, p, t, t2):
+    rhs = plane_rotation(OrientedPlane(p.v, p.u), t.inverse(), b)
+    return None if mat_eq(plane_rotation(p, t, b), rhs, b) else {"plane": p}
+
+
+def _scaling_invariance(b, p, t, t2, scaled, lam):
+    ok = mat_eq(plane_rotation(scaled, t, b), plane_rotation(p, t, b), b)
+    return None if ok else {"plane": p, "lambda": lam}
+
+
+def _basis_invariance(b, p, t, s):
+    lhs = plane_rotation(rotate_plane_basis(p, s), t, b)
+    return None if mat_eq(lhs, plane_rotation(p, t, b), b) else {"plane": p, "s": s}
+
+
+def _rotation_is_special_orthogonal(b, p, t, t2):
+    ok = so_check(plane_rotation(p, t, b), b).passed
+    return None if ok else {"plane": p, "t": t}
+
+
+def _cayley_special_orthogonal(b, q, k):
+    return None if so_check(q, b).passed else {"trial": k}
+
+
+def _frame_elements(b, p):
+    """The chosen w and the frame (e0, x, y, xy, w, wx, wy, w(xy)) on the backend."""
+    w = choose_w(p, b)
+    return w, basis_b(p, w, b).elements
+
+
+def _combination(coeffs, vectors):
+    a, b, c, d = coeffs
+    return vectors[0].scale(a) + vectors[1].scale(b) + vectors[2].scale(c) + vectors[3].scale(d)
+
+
+def _orthogonal_frame(b, p, t):
+    w = choose_w(p, b)
+    frame_table(basis_b(p, w, b), b)
+    return None
+
+
+def _f7_plane_basis_invariance(b, p, t, s):
+    w = choose_w(p, b)
+    lhs = f7(rotate_plane_basis(p, s), t, w, b)
+    return None if mat_eq(lhs, f7(p, t, w, b), b) else {"plane": p, "s": s}
+
+
+def _w_choice_invariance(b, p, t, coeffs):
+    w, frame = _frame_elements(b, p)
+    w2 = _combination(coeffs, frame[4:])
+    ok = mat_eq(f7(p, t, w2, b), f7(p, t, w, b), b)
+    return None if ok else {"plane": p, "coefficients": coeffs}
+
+
+#: For each factor of w'*factor: its frame index and the coefficients of
+#: (w, wx, wy, w(xy)) in the product, from those (a, b, c, d) of w'.
+_EXPANSIONS = {
+    "x": (1, lambda a, b, c, d: (-b, a, -d, c)),
+    "y": (2, lambda a, b, c, d: (-c, d, a, -b)),
+    "xy": (3, lambda a, b, c, d: (-d, -c, b, a)),
+}
+
+
+def _w_expansion(which):
+    index, product = _EXPANSIONS[which]
+
+    def check(b, p, t, coeffs):
+        _, frame = _frame_elements(b, p)
+        lhs = mul(_combination(coeffs, frame[4:]), frame[index])
+        ok = oct_eq(lhs, _combination(product(*coeffs), frame[4:]), b)
+        return None if ok else {"plane": p}
+
+    return check
+
+
+def _tail_pair_action(b, p, t, coeffs):
+    w, frame = _frame_elements(b, p)
+    w2 = _combination(coeffs, frame[4:])
+    _, _, r3, r4 = f7_factors(p, t, w, b)
+    lhs = apply(compose(r3, r4), w2)
+    rhs = w2.scale(t.c) + mul(w2, frame[3]).scale(t.s)
+    return None if oct_eq(lhs, rhs, b) else {"plane": p, "t": t}
+
+
+def _f7_image(b, p, t):
+    report = verify_spin7(f7(p, t, None, b), b)
+    if report.is_member:
         return None
-
-    results.append(
-        _run_claim(
-            "spin8.product-coordinates",
-            "the Spin(8)-valued map has a Spin(7) first component and "
-            "passes s through unchanged",
-            trials,
-            check_spin8,
-        )
-    )
-
-    return results
+    return {"plane": p, "t": t, "relation_failures": report.relation_failures[:4]}
 
 
-# --------------------------------------------------------------------------
-# triality
+def _f5_image(b, p, t):
+    return None if verify_spin7(f5(p, t, b), b).is_member else {"plane": p}
 
 
-def suite_triality(backend: Backend, seed: int, trials: int):
-    conv = backend.from_fraction
-    results = []
+def _product_image(b, p7, t, p5, t2, k):
+    ok = verify_spin7(f7xf5(p7, t, p5, t2, b), b).is_member
+    return None if ok else {"trial": k}
 
-    def rand_inputs(name, k):
-        p = _exact_plane(seed, "R7", (name, k)).map_scalars(conv)
-        rng = derived_rng(seed, "triality", name, k)
-        t = _random_angle(rng).map_scalars(conv)
-        return p, t
 
-    def run_check(k):
-        p, t = rand_inputs("pairs", k)
-        return triality_check(p, t, None, backend)
+def _minus_identity(b, minus_identity):
+    ok = verify_spin7(minus_identity, b).is_member
+    return None if ok else "verify_spin7(-I) rejected"
 
-    reports = {}
 
-    def check_pairs(k):
-        reports[k] = run_check(k)
-        if not reports[k].pair_failures:
-            return None
-        return {"trial": k, "failures": [list(x) for x in reports[k].pair_failures[:4]]}
-
-    results.append(
-        _run_claim(
-            "triality.sixty-four-pairs",
-            "g(a) psi(b) = psi(a*b) for all 64 ordered frame pairs",
-            trials,
-            check_pairs,
-        )
-    )
-
-    results.append(
-        _run_claim(
-            "triality.explicit-case",
-            "g(x) psi(y) = -s*e0 + c*xy = psi(xy)",
-            trials,
-            lambda k: None if reports[k].explicit_case_ok else {"trial": k},
-        )
-    )
-
-    results.append(
-        _run_claim(
-            "triality.quarter-turn",
-            "a * psi_quarter(b) = psi_quarter(a*b) for frame elements a "
-            "outside {x, y}",
-            trials,
-            lambda k: None
-            if not reports[k].half_turn_failures
-            else {"trial": k},
-        )
-    )
-
-    def check_factors_commute(k):
-        p, t = rand_inputs("commute", k)
-        factors = f7_factors(p, t, None, backend)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if not mat_eq(
-                    compose(factors[i], factors[j]),
-                    compose(factors[j], factors[i]),
-                    backend,
-                ):
-                    return {"trial": k, "pair": [i, j]}
+def _single_rotation_rejected(b, plane, quarter):
+    report = verify_spin7(plane_rotation(plane, quarter, b), b)
+    if not report.is_member and report.relation_failures:
         return None
+    return "a single-plane rotation of R^8 was accepted as a member"
 
-    results.append(
-        _run_claim(
-            "f7.factors-commute",
-            "the four rotation factors commute pairwise",
-            trials,
-            check_factors_commute,
-        )
+
+def _spin8_coordinates(b, p7, t, p5, t2, s, k):
+    matrix, s_out = spin8_map(p7, t, p5, t2, s, b)
+    if not verify_spin7(matrix, b).is_member:
+        return {"trial": k, "reason": "first component not a member"}
+    if not oct_eq(s_out, s, b):
+        return {"trial": k, "reason": "s vector did not pass through"}
+    return None
+
+
+def _triality(b, p, t, k):
+    report = triality_check(p, t, None, b)
+    return (
+        {"trial": k, "failures": report.pair_failures[:4]} if report.pair_failures else None,
+        None if report.explicit_case_ok else {"trial": k},
+        {"trial": k} if report.half_turn_failures else None,
     )
 
-    return results
+
+def _factors_commute(b, p, t, k):
+    factors = f7_factors(p, t, None, b)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if not mat_eq(compose(factors[i], factors[j]), compose(factors[j], factors[i]), b):
+                return {"trial": k, "pair": [i, j]}
+    return None
 
 
-# --------------------------------------------------------------------------
-# double-cover
+def _projection(b, p, t):
+    lhs = project_double_cover(f7(p, t, None, b))
+    rhs = plane_rotation(p, double_angle(t), b)
+    return None if mat_eq(lhs, rhs, b) else {"plane": p, "t": t}
 
 
-def suite_double_cover(backend: Backend, seed: int, trials: int):
-    conv = backend.from_fraction
-    results = []
-
-    def rand_inputs(name, k, restrict="R7"):
-        p = _exact_plane(seed, restrict, (name, k)).map_scalars(conv)
-        rng = derived_rng(seed, "cover", name, k)
-        t = _random_angle(rng).map_scalars(conv)
-        return p, t
-
-    def check_projection(k):
-        p, t = rand_inputs("projection", k)
-        lhs = project_double_cover(f7(p, t, None, backend))
-        rhs = plane_rotation(p, double_angle(t), backend)
-        if mat_eq(lhs, rhs, backend):
-            return None
-        return {"plane": _describe_plane(p, backend), "t": _describe_angle(t, backend)}
-
-    results.append(
-        _run_claim(
-            "cover.projects-to-doubled-rotation",
-            "projecting the four-rotation product yields the plane rotation "
-            "at the doubled angle",
-            trials,
-            check_projection,
-        )
-    )
-
-    identity = Matrix8.identity().map_scalars(conv)
-    minus_identity = (-Matrix8.identity()).map_scalars(conv)
-
-    def check_center(k):
-        p, _ = rand_inputs("center", k)
-        half = CirclePoint(conv(Fraction(-1)), conv(Fraction(0)))
-        if not mat_eq(f7(p, half, None, backend), minus_identity, backend):
-            return {"plane": _describe_plane(p, backend), "reason": "f7 at angle pi != -I"}
-        if not mat_eq(project_double_cover(minus_identity), identity, backend):
-            return {"reason": "-I did not project to the identity"}
-        return None
-
-    results.append(
-        _run_claim(
-            "cover.center",
-            "the angle-pi value of the rotation product is -I, and -I "
-            "projects to the identity",
-            trials,
-            check_center,
-        )
-    )
-
-    def check_homomorphism(k):
-        p7, t = rand_inputs("hom7", k)
-        p5, t2 = rand_inputs("hom5", k, restrict="R5")
-        a = f7(p7, t, None, backend)
-        b = f5(p5, t2, backend)
-        lhs = project_double_cover(compose(a, b))
-        rhs = compose(project_double_cover(a), project_double_cover(b))
-        if mat_eq(lhs, rhs, backend):
-            return None
-        return {"trial": k}
-
-    results.append(
-        _run_claim(
-            "cover.homomorphism",
-            "the projection is multiplicative on products of map values",
-            trials,
-            check_homomorphism,
-        )
-    )
-
-    return results
+def _center(b, p, t, half, identity, minus_identity):
+    if not mat_eq(f7(p, half, None, b), minus_identity, b):
+        return {"plane": p, "reason": "f7 at angle pi != -I"}
+    if not mat_eq(project_double_cover(minus_identity), identity, b):
+        return {"reason": "-I did not project to the identity"}
+    return None
 
 
-# --------------------------------------------------------------------------
-# commutative-square
+def _cover_homomorphism(b, p7, t, p5, t2, k):
+    x, y = f7(p7, t, None, b), f5(p5, t2, b)
+    lhs = project_double_cover(compose(x, y))
+    rhs = compose(project_double_cover(x), project_double_cover(y))
+    return None if mat_eq(lhs, rhs, b) else {"trial": k}
 
 
-def suite_commutative_square(backend: Backend, seed: int, trials: int):
-    results = []
-    square = degree_mod.verify_square(seed, trials, backend)
-    results.append(
-        ClaimResult(
-            claim="square.pointwise",
-            statement="cover(f7(P,t) * f5(P',t')) = h70(P, 2t, P', 2t') pointwise",
-            instances=square.trials,
-            failure_count=len(square.failures),
-            failures=list(square.failures[:MAX_REPORTED_FAILURES]),
-            passed=square.passed,
-            details={"max_residual": float(square.max_residual)},
-        )
-    )
-
-    def check_p_map(k):
-        rng = derived_rng(seed, "square", "p-map", k)
-        t, t2 = _random_angle(rng), _random_angle(rng)
-        d1, d2 = p_map(t, t2)
-        ok = (
-            d1 == double_angle(t)
-            and d2 == double_angle(t2)
-            and d1.c * d1.c + d1.s * d1.s == 1
-        )
-        return None if ok else {"trial": k}
-
-    results.append(
-        _run_claim(
-            "square.angle-doubling",
-            "the reparametrization doubles both circle factors and stays "
-            "on the circle",
-            trials,
-            check_p_map,
-        )
-    )
-
-    return results
+def _square_pointwise(b, seed, trials):
+    square = degree_mod.verify_square(seed, trials, b)
+    details = {"max_residual": float(square.max_residual)}
+    return Tally(square.trials, list(square.failures), details)
 
 
-# --------------------------------------------------------------------------
-# degree-ledger
+def _angle_doubling(b, u, u2, k):
+    # The circle points are built here, from the exact stereographic
+    # parameters, so the reparametrization is checked exactly on any backend.
+    t, t2 = circle_from_parameter(u), circle_from_parameter(u2)
+    d1, d2 = p_map(t, t2)
+    ok = d1 == double_angle(t) and d2 == double_angle(t2) and d1.c * d1.c + d1.s * d1.s == 1
+    return None if ok else {"trial": k}
 
 
-def suite_degree_ledger(backend: Backend, seed: int, trials: int):
-    results = []
+def _degree_ledger(b, seed, trials):
+    """The five circle-degree claims and the ledger, in one run: the ledger
+    consumes the doubling map's degree, which is computed once."""
 
     def wind(f, samples=256):
-        return degree_mod.winding_degree(f, samples, backend)
+        return degree_mod.winding_degree(f, samples, b)
 
-    checks = [
-        ("degree.identity-map", "the identity circle map has winding degree 1",
-         lambda: wind(lambda p: p) == 1),
-        ("degree.double-angle", "the angle-doubling map has winding degree 2",
-         lambda: wind(double_angle) == 2),
-        ("degree.constant-map", "a constant circle map has winding degree 0",
-         lambda: wind(lambda p: CirclePoint(p.c * 0 + 1, p.s * 0)) == 0),
-        ("degree.composition", "winding degree is multiplicative: doubling "
-         "twice has degree 4",
-         lambda: wind(lambda p: double_angle(double_angle(p))) == 4),
-        ("degree.sample-stability", "the degree of the doubling map is the "
-         "same at 256 and 1024 samples",
-         lambda: wind(double_angle, 256) == wind(double_angle, 1024)),
-    ]
-    for claim, statement, fn in checks:
-        results.append(
-            _run_claim(claim, statement, 1, lambda k, fn=fn: None if fn() else "mismatch")
-        )
-
-    square_trials = max(1, min(trials, 10))
-    square = degree_mod.verify_square(seed, square_trials, backend)
-    try:
-        ledger = degree_mod.degree_ledger(
-            square,
-            degree_mod.winding_degree(double_angle, 256, backend),
-            degree_mod.winding_degree(double_angle, 256, backend),
-        )
-        ok = (
-            ledger.conclusion_magnitude == 8
-            and not ledger.sign_determined
-            and ledger.conclusion_magnitude * ledger.cover_multiplier
-            == ledger.h_multiplier_magnitude * ledger.p_degree
-        )
-        details = ledger.to_dict()
-        details["square"] = square.to_dict()
-        failures = [] if ok else ["ledger arithmetic did not yield magnitude 8"]
-    except degree_mod.LedgerError as err:
-        details = {"error": str(err)}
-        failures = [str(err)]
-    results.append(
-        ClaimResult(
-            claim="degree.ledger",
-            statement="combining the computed circle degrees (2 and 2) with the "
-            "cited multipliers (2 and 4) yields magnitude 8, sign undetermined",
-            instances=1,
-            failure_count=len(failures),
-            failures=failures,
-            passed=not failures,
-            details=details,
-        )
+    doubling = wind(double_angle)
+    degrees = (
+        wind(lambda p: p) == 1,
+        doubling == 2,
+        wind(lambda p: CirclePoint(p.c * 0 + 1, p.s * 0)) == 0,
+        wind(lambda p: double_angle(double_angle(p))) == 4,
+        doubling == wind(double_angle, 1024),
     )
+    verdicts = tuple(None if ok else "mismatch" for ok in degrees)
+    square = degree_mod.verify_square(seed, max(1, min(trials, 10)), b)
+    try:
+        ledger = degree_mod.degree_ledger(square, doubling, doubling)
+    except degree_mod.LedgerError as err:
+        return verdicts + (Tally(1, [str(err)], {"error": str(err)}),)
+    ok = (
+        ledger.conclusion_magnitude == 8
+        and not ledger.sign_determined
+        and ledger.conclusion_magnitude * ledger.cover_multiplier
+        == ledger.h_multiplier_magnitude * ledger.p_degree
+    )
+    details = ledger.to_dict()
+    details["square"] = square.to_dict()
+    failures = [] if ok else ["ledger arithmetic did not yield magnitude 8"]
+    return verdicts + (Tally(1, failures, details),)
 
-    return results
+
+# --------------------------------------------------------------------------
+# The claim table
 
 
-SUITES: Dict[str, Callable] = {
-    "octonion-identities": suite_octonion_identities,
-    "rotation-laws": suite_rotation_laws,
-    "f7-well-defined": suite_f7_well_defined,
-    "spin7-membership": suite_spin7_membership,
-    "triality": suite_triality,
-    "double-cover": suite_double_cover,
-    "commutative-square": suite_commutative_square,
-    "degree-ledger": suite_degree_ledger,
+CLAIMS: Dict[str, tuple] = {
+    "octonion-identities": (
+        Claim({"octonion.e3e2-equals-minus-e1": "e3 * e2 = -e1"},
+              _fixed(Octonion.basis(3), Octonion.basis(2), Octonion.basis(1)), _e3_e2, _once),
+        Claim({"octonion.alternative": "x*(x*y) = (x*x)*y and (y*x)*x = y*(x*x)"},
+              _streamed("octonion", "alternative", _pair), _alternative),
+        Claim({"octonion.moufang-bimultiplication": "(x*(y*z))*x = x*((y*z)*x) = (x*y)*(z*x)"},
+              _streamed("octonion", "moufang-1", _triple), _moufang_bimultiplication),
+        Claim({"octonion.moufang-left": "(x*(y*x))*z = x*(y*(x*z))"},
+              _streamed("octonion", "moufang-2", _triple), _moufang_left),
+        Claim({"octonion.moufang-right": "y*(x*(z*x)) = ((y*x)*z)*x"},
+              _streamed("octonion", "moufang-3", _triple), _moufang_right),
+        Claim({"octonion.anticommute-orthogonal":
+               "x*y = -y*x for orthogonal purely imaginary x, y"},
+              _streamed("octonion", "anticommute", _orthogonal_pair), _anticommute),
+        Claim({"octonion.unit-triple-cycle": "y*(x*y) = x for orthonormal purely imaginary x, y"},
+              _indexed(_unit_triple_inputs), _unit_triple,
+              lambda trials: len(FANO_CYCLES) + trials),
+        Claim({"octonion.orthogonal-anti-associative":
+               "x*(y*z) = -(x*y)*z when x, y, z, x*y are mutually orthogonal imaginary"},
+              _streamed("octonion", "anti-associative", _orthogonal_triple), _anti_associative),
+        Claim({"octonion.norm-multiplicative": "|x*y|^2 = |x|^2 * |y|^2"},
+              _streamed("octonion", "norm", _pair), _norm_multiplicative),
+        Claim({"octonion.conjugation": "conj(conj(x)) = x and x*conj(x) = |x|^2 e0"},
+              _streamed("octonion", "conjugation", _octonion_and_e0), _conjugation),
+        Claim({"octonion.right-division": "right_divide(b*u, u) = b for u != 0"},
+              _streamed("octonion", "right-division", _divisible_pair), _right_division),
+        Claim({"octonion.fano-consistency":
+               "every imaginary pair lies on exactly one oriented line; ei*ej = -ej*ei"},
+              _fixed(), _fano_consistency, _once),
+    ),
+    "rotation-laws": (
+        Claim({"rotation.one-parameter": "rot(P, t + t') = rot(P, t) * rot(P, t')"},
+              _plane("rotation", "one-parameter", 2), _one_parameter),
+        Claim({"rotation.fixes-complement": "rot(P, t) fixes every vector orthogonal to the plane"},
+              _plane("rotation", "fixes-complement", 2, _complement_vector), _fixes_complement),
+        Claim({"rotation.orientation-reversal": "rot([u,v], t) = rot([v,u], -t)"},
+              _plane("rotation", "orientation", 2), _orientation_reversal),
+        Claim({"rotation.scaling-invariance": "rot([a*u, a*v], t) = rot([u, v], t) for a != 0"},
+              _plane("rotation", "scaling", 2, _scaled_plane), _scaling_invariance),
+        Claim({"rotation.basis-invariance": "rot(P, t) does not depend on the spanning pair of P"},
+              _plane("rotation", "basis", 2), _basis_invariance),
+        Claim({"rotation.special-orthogonal": "every plane rotation passes the SO(8) check"},
+              _plane("rotation", "so", 2), _rotation_is_special_orthogonal),
+        Claim({"geometry.cayley-special-orthogonal":
+               "Cayley transforms of antisymmetric matrices pass the SO(8) check"},
+              _indexed(_cayley_inputs), _cayley_special_orthogonal),
+    ),
+    "f7-well-defined": (
+        Claim({"frame.orthogonal-basis": "(e0, x, y, xy, w, wx, wy, w(xy)) is orthogonal and "
+               "multiplies into signed frame elements"},
+              _plane("f7wd", "frame"), _orthogonal_frame),
+        Claim({"f7.plane-basis-invariance":
+               "the rotation product is invariant under rotating the spanning pair"},
+              _plane("f7wd", "plane-basis", 2), _f7_plane_basis_invariance),
+        Claim({"f7.w-choice-invariance":
+               "any nonzero w' = a*w + b*wx + c*wy + d*w(xy) gives the same map"},
+              _plane("f7wd", "w-invariance", 1, _w_coefficients), _w_choice_invariance),
+        Claim({"f7.w-expansion-x": "w'*x = -b*w + a*wx - d*wy + c*w(xy)"},
+              _plane("f7wd", "w-expansion-x", 1, _w_coefficients), _w_expansion("x")),
+        Claim({"f7.w-expansion-y": "w'*y = -c*w + d*wx + a*wy - b*w(xy)"},
+              _plane("f7wd", "w-expansion-y", 1, _w_coefficients), _w_expansion("y")),
+        Claim({"f7.w-expansion-xy": "w'*(xy) = -d*w - c*wx + b*wy + a*w(xy)"},
+              _plane("f7wd", "w-expansion-xy", 1, _w_coefficients), _w_expansion("xy")),
+        Claim({"f7.tail-pair-action":
+               "the last two rotation factors send w' to c*w' + s*(w'*(xy))"},
+              _plane("f7wd", "tail-action", 1, _w_coefficients), _tail_pair_action),
+    ),
+    "spin7-membership": (
+        Claim({"spin7.f7-image": "every value of the four-rotation product satisfies the "
+               "membership relation g(a) g~(b) = g~(a*b)"},
+              _plane("membership", "f7"), _f7_image),
+        Claim({"spin7.f5-image": "every value of the restricted map lies in Spin(7)"},
+              _plane("membership", "f5", restrict="R5"), _f5_image),
+        Claim({"spin7.product-image": "pointwise products of the two maps lie in Spin(7)"},
+              _joined(_plane("membership", "product7"),
+                      _plane("membership", "product5", restrict="R5"), _index),
+              _product_image),
+        Claim({"spin7.minus-identity": "-I lies in Spin(7) (the nontrivial deck transformation)"},
+              _fixed(-Matrix8.identity()), _minus_identity, _once),
+        Claim({"spin7.single-rotation-rejected":
+               "a generic single-plane rotation of R^8 violates the membership relation"},
+              _fixed(OrientedPlane(Octonion.basis(0), Octonion.basis(1)), CIRCLE_QUARTER),
+              _single_rotation_rejected, _once),
+        Claim({"spin8.product-coordinates": "the Spin(8)-valued map has a Spin(7) first "
+               "component and passes s through unchanged"},
+              _joined(_plane("membership", "spin8-7"),
+                      _plane("membership", "spin8-5", restrict="R5"), _indexed(_unit_vector)),
+              _spin8_coordinates),
+    ),
+    "triality": (
+        Claim({"triality.sixty-four-pairs":
+               "g(a) psi(b) = psi(a*b) for all 64 ordered frame pairs",
+               "triality.explicit-case": "g(x) psi(y) = -s*e0 + c*xy = psi(xy)",
+               "triality.quarter-turn":
+               "a * psi_quarter(b) = psi_quarter(a*b) for frame elements a outside {x, y}"},
+              _joined(_plane("triality", "pairs"), _index), _triality),
+        Claim({"f7.factors-commute": "the four rotation factors commute pairwise"},
+              _joined(_plane("triality", "commute"), _index), _factors_commute),
+    ),
+    "double-cover": (
+        Claim({"cover.projects-to-doubled-rotation": "projecting the four-rotation product "
+               "yields the plane rotation at the doubled angle"},
+              _plane("cover", "projection"), _projection),
+        Claim({"cover.center": "the angle-pi value of the rotation product is -I, and -I "
+               "projects to the identity"},
+              _joined(_plane("cover", "center"),
+                      _fixed(CIRCLE_HALF, Matrix8.identity(), -Matrix8.identity())),
+              _center),
+        Claim({"cover.homomorphism": "the projection is multiplicative on products of map values"},
+              _joined(_plane("cover", "hom7"), _plane("cover", "hom5", restrict="R5"), _index),
+              _cover_homomorphism),
+    ),
+    "commutative-square": (
+        Claim({"square.pointwise": "cover(f7(P,t) * f5(P',t')) = h70(P, 2t, P', 2t') pointwise"},
+              _run_config, _square_pointwise, _once),
+        Claim({"square.angle-doubling":
+               "the reparametrization doubles both circle factors and stays on the circle"},
+              _indexed(_angle_parameters), _angle_doubling),
+    ),
+    "degree-ledger": (
+        Claim({"degree.identity-map": "the identity circle map has winding degree 1",
+               "degree.double-angle": "the angle-doubling map has winding degree 2",
+               "degree.constant-map": "a constant circle map has winding degree 0",
+               "degree.composition":
+               "winding degree is multiplicative: doubling twice has degree 4",
+               "degree.sample-stability":
+               "the degree of the doubling map is the same at 256 and 1024 samples",
+               "degree.ledger": "combining the computed circle degrees (2 and 2) with the "
+               "cited multipliers (2 and 4) yields magnitude 8, sign undetermined"},
+              _run_config, _degree_ledger, _once),
+    ),
 }
+
+
+def _suite(name: str) -> Callable:
+    def run(backend: Backend, seed: int, trials: int) -> List[ClaimResult]:
+        """The ClaimResults of one suite's table entries, in report order."""
+        return [result for entry in CLAIMS[name] for result in _run(entry, backend, seed, trials)]
+
+    run.__name__ = run.__qualname__ = "suite_" + name.replace("-", "_")
+    return run
+
+
+SUITES: Dict[str, Callable] = {name: _suite(name) for name in SUITE_NAMES}
+suite_octonion_identities = SUITES["octonion-identities"]
+suite_rotation_laws = SUITES["rotation-laws"]
+suite_f7_well_defined = SUITES["f7-well-defined"]
+suite_spin7_membership = SUITES["spin7-membership"]
+suite_triality = SUITES["triality"]
+suite_double_cover = SUITES["double-cover"]
+suite_commutative_square = SUITES["commutative-square"]
+suite_degree_ledger = SUITES["degree-ledger"]
 
 
 def run_verify_suite(config: RunConfig, suite_names=None):

@@ -1,0 +1,78 @@
+"""The claim runner: pinned report bytes, error capture and value checks."""
+
+import hashlib
+import json
+
+import pytest
+
+from octospin import octonion, spinmaps, suites
+from octospin.cli import main as cli_main
+from octospin.octonion import Octonion
+from octospin.scalar import FloatBackend
+from octospin.suites import SUITE_NAMES, RunConfig, render_report, run_verify_suite
+
+ALL_BUT_ROTATION = [s for s in SUITE_NAMES if s != "rotation-laws"]
+
+
+@pytest.mark.parametrize(
+    "backend, epsilon, seed, names, digest",
+    [
+        ("exact", 1e-9, 42, None,
+         "195c9d3ff2bbc8d1d2ce1d5ca4a24f12660efe8fe632266b50f87f6ad7e38efc"),
+        ("float", 1e-9, 11, None,
+         "5857c402000c5bb24dec6ecabbf4710653733a6af264eba71d7560104e83670b"),
+        # Exit 1 with 24 failures: pins the octonion, plane and angle
+        # descriptions that passing reports never show.
+        ("float", 1e-15, 11, ALL_BUT_ROTATION,
+         "d42fcaa87256beedf19092ad5f59030745483eae46e0d03cc562f262c818589a"),
+    ],
+)
+def test_report_bytes_are_pinned(backend, epsilon, seed, names, digest):
+    config = RunConfig(backend=backend, epsilon=epsilon, seed=seed, trials=3)
+    _, report = run_verify_suite(config, names)
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
+
+
+def test_broken_algebra_is_a_failing_report(monkeypatch):
+    # Reorient one Fano line, (7, 2, 5) -> (7, 5, 2), in the tables that the
+    # octonion product and the membership decision read.
+    cycles = tuple((7, 5, 2) if line == (7, 2, 5) else line for line in octonion.FANO_CYCLES)
+    monkeypatch.setattr(octonion, "FANO_CYCLES", cycles)
+    sign, index = octonion._build_tables()
+    for module in (octonion, spinmaps):
+        monkeypatch.setattr(module, "FANO_SIGN", sign)
+        monkeypatch.setattr(module, "FANO_INDEX", index)
+
+    code, report = run_verify_suite(RunConfig(trials=1))
+
+    assert code == 1
+    for name in ("f7-well-defined", "spin7-membership", "triality", "double-cover",
+                 "commutative-square", "degree-ledger"):
+        assert any(not claim["passed"] for claim in report["results"][name]), name
+
+
+def test_check_error_is_a_failure_record_not_a_usage_error(tmp_path):
+    out = tmp_path / "report.json"
+    code = cli_main([
+        "verify", "--suites", "rotation-laws", "--backend", "float", "--epsilon", "1e-15",
+        "--seed", "11", "--trials", "3", "--out", str(out),
+    ])
+    assert code == 1
+    failures = [f for claim in json.loads(out.read_text())["results"]["rotation-laws"]
+                for f in claim["failures"]]
+    assert any(isinstance(f, dict) and f.get("error", "").startswith("PlaneError: ")
+               for f in failures)
+
+
+@pytest.mark.parametrize("sign, passed", [(1, True), (-1, False)])
+def test_spin8_compares_s_by_value(monkeypatch, sign, passed):
+    spin8_map = suites.spin8_map
+
+    def copying_spin8_map(*args):
+        matrix, s = spin8_map(*args)
+        return matrix, Octonion(tuple(sign * c for c in s.coords))
+
+    monkeypatch.setattr(suites, "spin8_map", copying_spin8_map)
+    claims = suites.suite_spin7_membership(FloatBackend(1e-9), 42, 2)
+    claim = next(c for c in claims if c.claim == "spin8.product-coordinates")
+    assert claim.passed is passed
