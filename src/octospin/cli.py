@@ -18,7 +18,6 @@ import sys
 
 from .geometry import (
     OrientedPlane,
-    PlaneError,
     random_orthonormal_pair,
     serialize_matrix,
     so_check,
@@ -26,7 +25,6 @@ from .geometry import (
 from .octonion import Octonion, norm_sq, parse_octonion, serialize
 from .scalar import Backend, make_backend, parse_circle_point
 from .spinmaps import (
-    FrameError,
     basis_b,
     choose_w,
     f5,
@@ -224,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PlaneError, FrameError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -111,53 +111,27 @@ def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
     )
 
 
-def _det_fraction_free(rows) -> Scalar:
-    """Bareiss fraction-free elimination; all divisions are exact."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def determinant(m: Matrix8) -> Scalar:
+    """Gaussian elimination with partial pivoting, in the matrix's own scalars.
 
-
-def _det_lu(rows) -> float:
-    """Partial-pivot elimination for the float backend."""
-    m = [[float(x) for x in r] for r in rows]
-    n = len(m)
-    det = 1.0
+    Exact on Fractions; on floats the largest pivot keeps the rounding small.
+    """
+    rows = [list(r) for r in m.rows]
+    n = len(rows)
+    det = 1
     for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if m[piv][k] == 0.0:
-            return 0.0
+        piv = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if not rows[piv][k]:
+            return abs(rows[piv][k])  # singular: a zero of the entries' type
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            rows[k], rows[piv] = rows[piv], rows[k]
             det = -det
-        det *= m[k][k]
+        det *= rows[k][k]
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
+            f = rows[i][k] / rows[k][k]
             for j in range(k + 1, n):
-                m[i][j] -= f * m[k][j]
+                rows[i][j] -= f * rows[k][j]
     return det
-
-
-def determinant(m: Matrix8, backend: Backend = EXACT) -> Scalar:
-    if backend.name == "float":
-        return _det_lu(m.rows)
-    return _det_fraction_free(m.rows)
 
 
 @dataclass(frozen=True)
@@ -179,7 +153,7 @@ def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
                 entry = entry - 1
             if abs(entry) > residual:
                 residual = abs(entry)
-    det = determinant(m, backend)
+    det = determinant(m)
     one = backend.from_fraction(Fraction(1))
     ok = backend.is_zero(residual) and backend.eq(det, one)
     return SOReport(residual, det, ok)

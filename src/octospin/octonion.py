@@ -73,10 +73,6 @@ class Octonion:
         coords[i] = Fraction(1)
         return Octonion(tuple(coords))
 
-    @staticmethod
-    def from_coords(values) -> "Octonion":
-        return Octonion(tuple(values))
-
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion(tuple(a + b for a, b in zip(self.coords, other.coords)))
 

@@ -14,6 +14,7 @@ to field arithmetic and can be checked exactly on the rational backend.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,9 +52,10 @@ class FloatBackend:
     name = "float"
 
     def __init__(self, epsilon: float = 1e-9):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = float(epsilon)
+        epsilon = float(epsilon)
+        if not 0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        self.epsilon = epsilon
 
     def from_fraction(self, q: Fraction) -> float:
         return float(q)

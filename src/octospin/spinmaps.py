@@ -42,12 +42,13 @@ from .octonion import (
     Vector8,
     inner,
     is_imaginary,
+    is_zero,
     mul,
     norm_sq,
     oct_eq,
     right_divide,
 )
-from .scalar import Backend, CirclePoint, EXACT, Scalar, double_angle
+from .scalar import Backend, CIRCLE_QUARTER, CirclePoint, EXACT, Scalar, double_angle
 
 
 class FrameError(ValueError):
@@ -274,6 +275,21 @@ class MembershipReport:
         }
 
 
+def _relation_failures(left, right, product_image, backend: Backend, rows=range(8)):
+    """The pairs (i, j), i in rows, with left[i] * right[j] != product_image(i, j).
+
+    ``left`` and ``right`` are the images of eight vectors a_i, b_j under the
+    two maps of a relation g(a) h(b) = h(a*b), computed once per vector;
+    ``product_image(i, j)`` is the image h(a_i * b_j).
+    """
+    return tuple(
+        (i, j)
+        for i in rows
+        for j in range(8)
+        if not oct_eq(mul(left[i], right[j]), product_image(i, j), backend)
+    )
+
+
 def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
     """Decide whether g~ lies in Spin(7).
 
@@ -281,21 +297,27 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
     fixes e0, preserves the imaginary subspace, and is special orthogonal,
     and checks the relation g(ei) * g~(ej) = g~(ei*ej) on all 64 basis
     pairs (bilinearity extends the basis check to all octonion pairs).
+
+    When g~(e0) = 0 there is no candidate: the report is a non-member with a
+    zero candidate_g and no relation failures.
     """
+    if is_zero(gt.column(0), backend):
+        zero = backend.from_fraction(Fraction(0))
+        return MembershipReport(Matrix8(((zero,) * 8,) * 8), (), False, False)
     g = project_double_cover(gt)
     fixes_e0 = oct_eq(g.column(0), Octonion.basis(0), backend)
     maps_im = all(backend.is_zero(g.rows[0][j]) for j in range(1, 8))
     in_so7 = fixes_e0 and maps_im and so_check(g, backend).passed
-    failures = []
-    for i in range(8):
-        for j in range(8):
-            lhs = mul(g.column(i), gt.column(j))
-            rhs = gt.column(FANO_INDEX[i][j]).scale(
-                backend.from_fraction(Fraction(FANO_SIGN[i][j]))
-            )
-            if not oct_eq(lhs, rhs, backend):
-                failures.append((i, j))
-    return MembershipReport(g, tuple(failures), in_so7, in_so7 and not failures)
+    cols = [gt.column(j) for j in range(8)]
+
+    def basis_product_image(i, j):
+        col = cols[FANO_INDEX[i][j]]
+        return col if FANO_SIGN[i][j] > 0 else -col
+
+    failures = _relation_failures(
+        [g.column(i) for i in range(8)], cols, basis_product_image, backend
+    )
+    return MembershipReport(g, failures, in_so7, in_so7 and not failures)
 
 
 @dataclass(frozen=True)
@@ -331,43 +353,35 @@ def triality_check(
     """
     if w is None:
         w = choose_w(p, backend)
-    frame = basis_b(p, w, backend)
+    frame = basis_b(p, w, backend).elements
     psi = f7(p, t, w, backend)
     g = plane_rotation(p, double_angle(t), backend)
+    psi_q = f7(p, CIRCLE_QUARTER.map_scalars(backend.from_fraction), w, backend)
 
-    pair_failures = []
-    for i, alpha in enumerate(frame.elements):
-        g_alpha = apply(g, alpha)
-        for j, beta in enumerate(frame.elements):
-            lhs = mul(g_alpha, apply(psi, beta))
-            rhs = apply(psi, mul(alpha, beta))
-            if not oct_eq(lhs, rhs, backend):
-                pair_failures.append((i, j))
+    def image_of_products(m):
+        return lambda i, j: apply(m, mul(frame[i], frame[j]))
 
-    quarter = CirclePoint(
-        backend.from_fraction(Fraction(0)), backend.from_fraction(Fraction(1))
+    g_images = [apply(g, a) for a in frame]
+    psi_images = [apply(psi, b) for b in frame]
+    psi_of_product = image_of_products(psi)
+    pair_failures = _relation_failures(g_images, psi_images, psi_of_product, backend)
+    half_turn_failures = _relation_failures(
+        frame,
+        [apply(psi_q, b) for b in frame],
+        image_of_products(psi_q),
+        backend,
+        rows=(0, 3, 4, 5, 6, 7),
     )
-    psi_q = f7(p, quarter, w, backend)
-    half_turn_failures = []
-    for i, alpha in enumerate(frame.elements):
-        if i in (1, 2):
-            continue
-        for j, beta in enumerate(frame.elements):
-            lhs = mul(alpha, apply(psi_q, beta))
-            rhs = apply(psi_q, mul(alpha, beta))
-            if not oct_eq(lhs, rhs, backend):
-                half_turn_failures.append((i, j))
 
-    x, y, xy = frame.elements[1], frame.elements[2], frame.elements[3]
-    closed_form = Octonion.basis(0).scale(-t.s) + xy.scale(t.c)
-    lhs = mul(apply(g, x), apply(psi, y))
+    closed_form = Octonion.basis(0).scale(-t.s) + frame[3].scale(t.c)
+    lhs = mul(g_images[1], psi_images[2])
     explicit_ok = oct_eq(lhs, closed_form, backend) and oct_eq(
-        apply(psi, mul(x, y)), closed_form, backend
+        psi_of_product(1, 2), closed_form, backend
     )
 
     return TrialityReport(
-        tuple(pair_failures),
-        tuple(half_turn_failures),
+        pair_failures,
+        half_turn_failures,
         explicit_ok,
         not pair_failures and not half_turn_failures and explicit_ok,
     )

@@ -103,12 +103,9 @@ class RunConfig:
     trials: int = 100
 
     def validate(self) -> None:
-        if self.backend not in ("exact", "float"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        self.make_backend()
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.backend == "float" and not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
 
     def make_backend(self) -> Backend:
         return make_backend(self.backend, self.epsilon)
@@ -287,13 +284,6 @@ def _random_angle(rng) -> CirclePoint:
     return circle_from_parameter(random_rational(rng, 8, 5))
 
 
-def _nonzero_imaginary(rng) -> Octonion:
-    while True:
-        a = random_octonion(rng, imaginary=True)
-        if norm_sq(a) != 0:
-            return a
-
-
 def _orthogonal_to(rng, others) -> Octonion:
     """Random nonzero imaginary octonion orthogonal to the given vectors."""
     while True:
@@ -330,7 +320,7 @@ def _octonion_and_e0(rng):
 
 
 def _orthogonal_pair(rng):
-    x = _nonzero_imaginary(rng)
+    x = _orthogonal_to(rng, ())
     return x, _orthogonal_to(rng, [x])
 
 

@@ -50,6 +50,24 @@ def test_verify_rejects_bad_epsilon(tmp_path):
     assert code == 2
 
 
+def test_verify_rejects_infinite_epsilon(tmp_path, capsys):
+    code = run([
+        "verify", "--backend", "float", "--epsilon", "inf", "--trials", "1",
+        "--suites", "octonion-identities", "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
+def test_eval_rejects_nan_epsilon(capsys):
+    code = run([
+        "eval", "h70", "--plane", "e1,e2", "--angle", "u=1", "--plane2", "e3,e4",
+        "--angle2", "u=1", "--backend", "float", "--epsilon", "nan",
+    ])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_verify_is_deterministic(tmp_path):
     args = ["verify", "--suites", "degree-ledger", "--trials", "2", "--seed", "5"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -28,7 +28,6 @@ from octospin.scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
-    FloatBackend,
     circle_from_parameter,
     derived_rng,
 )
@@ -95,10 +94,10 @@ def test_so_check():
 
 def test_determinant_backends():
     m = plane_rotation(P12, T35)
-    assert determinant(m, EXACT) == 1
-    assert abs(determinant(m.map_scalars(float), FloatBackend()) - 1.0) < 1e-12
+    assert determinant(m) == 1
+    assert abs(determinant(m.map_scalars(float)) - 1.0) < 1e-12
     singular = Matrix8.from_rows([[F(1)] * 8 for _ in range(8)])
-    assert determinant(singular, EXACT) == 0
+    assert determinant(singular) == 0
 
 
 def test_solve_linear_singular():

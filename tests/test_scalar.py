@@ -88,6 +88,12 @@ def test_float_backend_rejects_bad_epsilon():
         make_backend("decimal")
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_float_backend_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        FloatBackend(epsilon)
+
+
 def test_exact_serialization_round_trip():
     for q in (F(0), F(3), F(-7, 25), F(22, 7)):
         text = EXACT.format(q)

@@ -20,6 +20,8 @@ from octospin.scalar import (
     CIRCLE_IDENTITY,
     CIRCLE_QUARTER,
     CirclePoint,
+    EXACT,
+    FloatBackend,
     angle_sum,
     circle_from_parameter,
     derived_rng,
@@ -237,6 +239,17 @@ def test_verify_spin7_reports_invariant():
     assert not reject.is_member
     assert reject.relation_failures
     assert reject.is_member == (reject.g_in_so7 and not reject.relation_failures)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)])
+def test_verify_spin7_zero_first_column_is_a_non_member(backend):
+    m = plane_rotation(P12, T35)
+    gt = Matrix8(tuple((0,) + row[1:] for row in m.rows)).map_scalars(backend.from_fraction)
+    report = verify_spin7(gt, backend)
+    assert not report.is_member and not report.g_in_so7
+    assert report.relation_failures == ()
+    assert all(backend.is_zero(x) for row in report.candidate_g.rows for x in row)
+    assert report.to_dict(backend)["is_member"] is False
 
 
 def test_membership_report_serialization():

@@ -1,11 +1,13 @@
-"""The claim runner: pinned report bytes, error capture and value checks."""
+"""The claim runner: pinned report bytes, error capture, value checks, defect
+sensitivity and exact/float agreement."""
 
 import hashlib
 import json
+import sys
 
 import pytest
 
-from octospin import octonion, spinmaps, suites
+from octospin import geometry, octonion, scalar, spinmaps, suites
 from octospin.cli import main as cli_main
 from octospin.octonion import Octonion
 from octospin.scalar import FloatBackend
@@ -76,3 +78,58 @@ def test_spin8_compares_s_by_value(monkeypatch, sign, passed):
     claims = suites.suite_spin7_membership(FloatBackend(1e-9), 42, 2)
     claim = next(c for c in claims if c.claim == "spin8.product-coordinates")
     assert claim.passed is passed
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind ``original`` to ``replacement`` in every octospin module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "octospin" or name.startswith("octospin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+_DEFECTS = {
+    "double-angle-is-identity": (
+        scalar.double_angle,
+        lambda original: lambda p: p,
+        {"cover.projects-to-doubled-rotation", "square.pointwise", "degree.double-angle",
+         "triality.sixty-four-pairs"},
+    ),
+    "plane-rotation-transposed": (
+        geometry.plane_rotation,
+        lambda original: lambda *args: original(*args).transpose(),
+        {"f7.tail-pair-action", "triality.explicit-case"},
+    ),
+    "projection-negated": (
+        spinmaps.project_double_cover,
+        lambda original: lambda gt: -original(gt),
+        {"spin7.f7-image", "cover.center", "square.pointwise"},
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_defect_turns_named_claims_red(monkeypatch, defect):
+    original, make_replacement, expected_red = _DEFECTS[defect]
+    _patch_everywhere(monkeypatch, original, make_replacement(original))
+
+    code, report = run_verify_suite(RunConfig(backend="exact", seed=42, trials=1))
+
+    red = {c["claim"] for claims in report["results"].values() for c in claims if not c["passed"]}
+    assert code == 1
+    assert expected_red <= red
+
+
+def _verdicts(backend, seed):
+    _, report = run_verify_suite(RunConfig(backend=backend, epsilon=1e-9, seed=seed, trials=1))
+    return {
+        c["claim"]: (c["passed"], c["instances"], c["failure_count"])
+        for claims in report["results"].values()
+        for c in claims
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_and_float_verdicts_agree(seed):
+    assert _verdicts("float", seed) == _verdicts("exact", seed)
