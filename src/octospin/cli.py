@@ -113,14 +113,12 @@ def _cmd_eval(args) -> int:
         matrix = f7xf5(plane, angle, plane2, angle2, backend)
     elif args.map == "h70":
         matrix = h70(plane, angle, plane2, angle2, backend)
-    elif args.map == "spin8":
+    else:  # "spin8"; argparse restricts the choices
         if args.s_vector is None:
             raise ValueError("spin8 needs --s-vector")
         s = _parse_vector(args.s_vector, backend)
         matrix, s_out = spin8_map(plane, angle, plane2, angle2, s, backend)
         payload["s_vector"] = serialize(s_out, backend)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown map {args.map!r}")
     payload["matrix"] = serialize_matrix(matrix, backend)
     so = so_check(matrix, backend)
     payload["so_check"] = {

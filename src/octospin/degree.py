@@ -4,18 +4,21 @@ The top-homology effect of the rotation-product map is not computable at
 desk scale; what is computable is (a) the winding degree of the circle
 maps feeding the construction and (b) the pointwise commutation of the
 square relating the Spin(7)-valued map, the double-cover projection, and
-the plain SO(7) rotation product at doubled angles.  The ledger combines
-the computed numbers with two multipliers imported from the literature,
+the plain SO(7) rotation product at doubled angles.  Winding degrees are
+counted by one algorithm on both backends: signed branch-cut crossings of
+the image of a fixed set of exact circle samples.  The ledger combines the
+computed numbers with two multipliers imported from the literature,
 keeping "computed" and "cited" provenance explicit per field, and reports
 the resulting magnitude with the overall sign left undetermined.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, ClassVar, Tuple
 
 from .geometry import mat_eq
 from .scalar import (
@@ -52,12 +55,14 @@ H_MULTIPLIER_CITATION = (
 )
 
 
-def circle_samples(n: int) -> List[CirclePoint]:
+@functools.lru_cache(maxsize=8)
+def circle_samples(n: int) -> Tuple[CirclePoint, ...]:
     """n exact rational points walking once counterclockwise around S^1.
 
     Points are stereographic-parameter approximations of equally spaced
     angles in (-pi, pi); consecutive gaps are about 2*pi/n, and the single
-    wrap-around step crosses the branch cut at angle pi exactly once.
+    wrap-around step crosses the branch cut at angle pi exactly once.  The
+    points depend only on n, so each n is built once and shared.
     """
     if n < 8:
         raise ValueError("need at least 8 samples")
@@ -67,7 +72,7 @@ def circle_samples(n: int) -> List[CirclePoint]:
         params.append(Fraction(math.tan(theta / 2.0)).limit_denominator(10 ** 6))
     if any(a >= b for a, b in zip(params, params[1:])):
         raise ValueError("sample parameters failed to be strictly increasing")
-    return [circle_from_parameter(u) for u in params]
+    return tuple(circle_from_parameter(u) for u in params)
 
 
 def _is_upper(p: CirclePoint) -> bool:
@@ -75,14 +80,15 @@ def _is_upper(p: CirclePoint) -> bool:
     return p.s > 0 or (p.s == 0 and p.c < 0)
 
 
-def _cut_crossing(p: CirclePoint, q: CirclePoint) -> int:
+def _cut_crossing(p: CirclePoint, q: CirclePoint, backend: Backend) -> int:
     """Signed crossing of the negative real axis by the shorter arc p -> q.
 
-    Exact: the shorter arc crosses the cut iff the chord does, and the
-    chord's zero of the s-coordinate locates the side.  Raises on exact
-    antipodes, where the shorter arc is ambiguous.
+    The shorter arc crosses the cut iff the chord does, and the chord's
+    zero of the s-coordinate locates the side; both are computed in the
+    backend's scalars.  Raises on antipodes (as ``backend.eq`` sees them),
+    where the shorter arc is ambiguous.
     """
-    if p.c == -q.c and p.s == -q.s:
+    if backend.eq(p.c, -q.c) and backend.eq(p.s, -q.s):
         raise AmbiguousArcError("consecutive image points are antipodal")
     up_p, up_q = _is_upper(p), _is_upper(q)
     if up_p == up_q:
@@ -101,28 +107,15 @@ def winding_degree(
 ) -> int:
     """Net number of turns of the circle self-map f.
 
-    Exact backend: signed branch-cut crossings of the image loop, computed
-    by rational chord bookkeeping.  Float backend: accumulated atan2
-    increments rounded to the nearest integer multiple of 2*pi.  The caller
-    must supply enough samples that consecutive image points subtend less
-    than pi; exact antipodes raise AmbiguousArcError.
+    The exact samples are converted with ``backend.from_fraction`` and
+    mapped by f; the degree is the signed count of branch-cut crossings of
+    the image loop, on either backend.  The caller must supply enough
+    samples that consecutive image points subtend less than pi; antipodes
+    raise AmbiguousArcError.
     """
-    pts = circle_samples(samples)
-    if backend.name == "float":
-        imgs = [f(p.map_scalars(float)) for p in pts]
-        total = 0.0
-        for k in range(samples):
-            p, q = imgs[k], imgs[(k + 1) % samples]
-            cross = p.c * q.s - p.s * q.c
-            dot = p.c * q.c + p.s * q.s
-            inc = math.atan2(cross, dot)
-            if abs(inc) > math.pi - 1e-9:
-                raise AmbiguousArcError("consecutive image points are antipodal")
-            total += inc
-        return round(total / (2.0 * math.pi))
-    imgs = [f(p) for p in pts]
+    imgs = [f(p.map_scalars(backend.from_fraction)) for p in circle_samples(samples)]
     return sum(
-        _cut_crossing(imgs[k], imgs[(k + 1) % samples]) for k in range(samples)
+        _cut_crossing(imgs[k], imgs[(k + 1) % samples], backend) for k in range(samples)
     )
 
 
@@ -183,16 +176,16 @@ class DegreeReport:
 
     ``p_degree`` is computed (product of the two circle-map winding
     degrees); the cover multiplier 2 and the magnitude 4 of the rotation
-    product's effect are cited constants.  The square identity
+    product's effect are cited constants of the class.  The square identity
     conclusion * cover = h_multiplier * p_degree then fixes the magnitude
     of the composite's effect; the overall sign is not determined.
     """
 
     p_degree: int
     conclusion_magnitude: int
-    cover_multiplier: int = 2
-    h_multiplier_magnitude: int = 4
-    sign_determined: bool = False
+    cover_multiplier: ClassVar[int] = 2
+    h_multiplier_magnitude: ClassVar[int] = 4
+    sign_determined: ClassVar[bool] = False
 
     def to_dict(self) -> dict:
         return {
@@ -218,14 +211,11 @@ class DegreeReport:
 def degree_ledger(square: SquareReport, p_deg_t: int, p_deg_t2: int) -> DegreeReport:
     """Combine the verified square with the computed and cited degrees.
 
-    Raises LedgerError when the square failed or the ledger equation
-    conclusion * 2 = 4 * p_degree has no integer solution.
+    Solves conclusion * cover = h_multiplier * p_degree with the cited
+    constants of DegreeReport.  Raises LedgerError when the square failed.
     """
     if not square.passed:
         raise LedgerError("the commuting-square check failed; no ledger")
     p_degree = p_deg_t * p_deg_t2
-    cover, h_mag = 2, 4
-    if (h_mag * p_degree) % cover:
-        raise LedgerError("ledger equation has no integer solution")
-    conclusion = (h_mag * p_degree) // cover
+    conclusion = DegreeReport.h_multiplier_magnitude * p_degree // DegreeReport.cover_multiplier
     return DegreeReport(p_degree=p_degree, conclusion_magnitude=conclusion)

@@ -114,9 +114,10 @@ def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
 def determinant(m: Matrix8) -> Scalar:
     """Gaussian elimination with partial pivoting, in the matrix's own scalars.
 
-    Exact on Fractions; on floats the largest pivot keeps the rounding small.
+    Exact on Fractions and on Python ints (taken as Fractions, so division
+    stays exact); on floats the largest pivot keeps the rounding small.
     """
-    rows = [list(r) for r in m.rows]
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in m.rows]
     n = len(rows)
     det = 1
     for k in range(n):

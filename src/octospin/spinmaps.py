@@ -33,6 +33,7 @@ from .geometry import (
     choose_w,
     compose,
     plane_rotation,
+    serialize_matrix,
     so_check,
 )
 from .octonion import (
@@ -269,9 +270,7 @@ class MembershipReport:
             "is_member": self.is_member,
             "g_in_so7": self.g_in_so7,
             "relation_failures": [list(p) for p in self.relation_failures],
-            "candidate_g": [
-                [backend.format(x) for x in row] for row in self.candidate_g.rows
-            ],
+            "candidate_g": serialize_matrix(self.candidate_g, backend),
         }
 
 
@@ -328,14 +327,6 @@ class TrialityReport:
     half_turn_failures: Tuple[Tuple[int, int], ...]
     explicit_case_ok: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_failures": [list(p) for p in self.pair_failures],
-            "half_turn_failures": [list(p) for p in self.half_turn_failures],
-            "explicit_case_ok": self.explicit_case_ok,
-            "passed": self.passed,
-        }
 
 
 def triality_check(

@@ -19,6 +19,7 @@ from octospin.scalar import (
     CIRCLE_IDENTITY,
     CIRCLE_QUARTER,
     CirclePoint,
+    EXACT,
     FloatBackend,
     double_angle,
     on_circle,
@@ -74,17 +75,21 @@ def test_winding_float_backend():
     fb = FloatBackend()
     assert winding_degree(double_angle, 256, fb) == 2
     assert winding_degree(lambda p: p.inverse(), 256, fb) == -1
+    one = CIRCLE_IDENTITY.map_scalars(float)
+    assert winding_degree(lambda p: one, 256, fb) == 0
+    assert winding_degree(lambda p: double_angle(double_angle(p)), 256, fb) == 4
 
 
-def test_winding_antipodal_error():
-    pts = circle_samples(8)
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
+def test_winding_antipodal_error(backend):
     lookup = {}
-    for k, p in enumerate(pts):
+    for k, p in enumerate(circle_samples(8)):
         target = CIRCLE_IDENTITY if k % 2 == 0 else CIRCLE_HALF
-        lookup[(p.c, p.s)] = target
+        p = p.map_scalars(backend.from_fraction)
+        lookup[(p.c, p.s)] = target.map_scalars(backend.from_fraction)
 
     with pytest.raises(AmbiguousArcError):
-        winding_degree(lambda p: lookup[(p.c, p.s)], 8)
+        winding_degree(lambda p: lookup[(p.c, p.s)], 8, backend)
 
 
 def test_verify_square_passes():

@@ -100,6 +100,14 @@ def test_determinant_backends():
     assert determinant(singular) == 0
 
 
+def test_determinant_of_int_matrix_is_exact():
+    # tridiagonal (1, 3, 1): the determinant is the Fibonacci number F(18)
+    rows = [[3 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(8)] for i in range(8)]
+    det = determinant(Matrix8.from_rows(rows))
+    assert det == 2584
+    assert not isinstance(det, float)
+
+
 def test_solve_linear_singular():
     rows = [[F(1)] * 8 for _ in range(8)]
     with pytest.raises(ZeroDivisionError):

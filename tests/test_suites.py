@@ -93,8 +93,8 @@ _DEFECTS = {
     "double-angle-is-identity": (
         scalar.double_angle,
         lambda original: lambda p: p,
-        {"cover.projects-to-doubled-rotation", "square.pointwise", "degree.double-angle",
-         "triality.sixty-four-pairs"},
+        {"cover.projects-to-doubled-rotation", "square.pointwise", "square.angle-doubling",
+         "degree.double-angle", "triality.sixty-four-pairs"},
     ),
     "plane-rotation-transposed": (
         geometry.plane_rotation,
