@@ -26,7 +26,6 @@ from .octonion import Octonion, norm_sq, parse_octonion, serialize
 from .scalar import Backend, make_backend, parse_circle_point
 from .spinmaps import (
     basis_b,
-    choose_w,
     f5,
     f7,
     f7xf5,
@@ -135,12 +134,12 @@ def _cmd_eval(args) -> int:
 def _cmd_table(args) -> int:
     backend = make_backend(args.backend, args.epsilon)
     plane = _parse_plane(args.plane, backend)
-    w = _parse_vector(args.w, backend) if args.w else choose_w(plane, backend)
+    w = _parse_vector(args.w, backend) if args.w else None
     frame = basis_b(plane, w, backend)
     table = frame_table(frame, backend)
     lines = [
         "frame: e0, x, y, xy, w, wx, wy, w(xy)",
-        "w = [" + ", ".join(serialize(w, backend)) + "]",
+        "w = [" + ", ".join(serialize(frame.elements[4], backend)) + "]",
         "|w|^2 = N = " + backend.format(frame.norm_w),
         "",
         format_frame_table(table),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Tuple
 
-from .geometry import mat_eq
+from .geometry import mat_eq, max_abs_diff, random_orthonormal_pair
 from .scalar import (
     Backend,
     CirclePoint,
@@ -32,7 +32,6 @@ from .scalar import (
     random_rational,
 )
 from .spinmaps import f7xf5, h70, project_double_cover
-from .geometry import random_orthonormal_pair
 
 
 class AmbiguousArcError(ValueError):
@@ -163,10 +162,9 @@ def verify_square(seed: int, trials: int, backend: Backend = EXACT) -> SquareRep
         rhs = h70(p7, double_angle(t), p5, double_angle(t2), backend)
         if not mat_eq(lhs, rhs, backend):
             failures.append(trial)
-        for ra, rb in zip(lhs.rows, rhs.rows):
-            for a, b in zip(ra, rb):
-                if abs(a - b) > max_residual:
-                    max_residual = abs(a - b)
+        residual = max_abs_diff(lhs, rhs)
+        if residual > max_residual:
+            max_residual = residual
     return SquareReport(trials, tuple(failures), max_residual)
 
 
@@ -211,11 +209,12 @@ class DegreeReport:
 def degree_ledger(square: SquareReport, p_deg_t: int, p_deg_t2: int) -> DegreeReport:
     """Combine the verified square with the computed and cited degrees.
 
-    Solves conclusion * cover = h_multiplier * p_degree with the cited
-    constants of DegreeReport.  Raises LedgerError when the square failed.
+    Solves conclusion * cover = h_multiplier * |p_degree| with the cited
+    constants of DegreeReport; p_degree keeps its sign, the magnitude does
+    not.  Raises LedgerError when the square failed.
     """
     if not square.passed:
         raise LedgerError("the commuting-square check failed; no ledger")
     p_degree = p_deg_t * p_deg_t2
-    conclusion = DegreeReport.h_multiplier_magnitude * p_degree // DegreeReport.cover_multiplier
-    return DegreeReport(p_degree=p_degree, conclusion_magnitude=conclusion)
+    magnitude = DegreeReport.h_multiplier_magnitude * abs(p_degree)
+    return DegreeReport(p_degree, magnitude // DegreeReport.cover_multiplier)

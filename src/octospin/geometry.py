@@ -9,7 +9,7 @@ coordinates are rare, equal-norm pairs are everywhere).
 Special-orthogonal matrices with exact rational entries come from the
 Cayley transform A -> (I - A)(I + A)^-1 of random antisymmetric rational
 matrices; their columns provide exactly orthonormal frames for the random
-plane generator.
+plane generator; the solve behind it and the determinant share one elimination.
 """
 
 from __future__ import annotations
@@ -111,28 +111,48 @@ def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
     )
 
 
-def determinant(m: Matrix8) -> Scalar:
-    """Gaussian elimination with partial pivoting, in the matrix's own scalars.
+def max_abs_diff(a: Matrix8, b: Matrix8) -> Scalar:
+    """Largest entry-wise |a - b|; the int 0 when no entry differs."""
+    return max([0] + [abs(x - y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)])
 
-    Exact on Fractions and on Python ints (taken as Fractions, so division
-    stays exact); on floats the largest pivot keeps the rounding small.
+
+def _eliminate(rows):
+    """Forward elimination with partial pivoting of the leading square block.
+
+    Works in the entries' own scalars, with Python ints taken as Fractions so
+    division stays exact; columns right of the block are carried along.  Rows
+    already zero in the pivot column are skipped (I + A of a block-supported A
+    has identity rows).  Returns the rows and the permutation's sign, 0 if singular.
     """
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in m.rows]
-    n = len(rows)
-    det = 1
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    n = len(m)
+    sign = 1
     for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        if not rows[piv][k]:
-            return abs(rows[piv][k])  # singular: a zero of the entries' type
+        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[piv][k]:
+            return m, 0
         if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            for j in range(k + 1, n):
-                rows[i][j] -= f * rows[k][j]
-    return det
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            if row[k]:
+                f = row[k] / top[k]
+                for j in range(k + 1, len(row)):
+                    row[j] -= f * top[j]
+    return m, sign
+
+
+def determinant(m: Matrix8) -> Scalar:
+    """Signed product of the pivots of ``_eliminate``, in the matrix's own scalars.
+
+    Exact on Fractions and Python ints; on floats the largest pivot keeps the
+    rounding small.  A singular matrix gives a zero of the entries' type.
+    """
+    rows, det = _eliminate(m.rows)
+    for k, row in enumerate(rows):
+        det *= row[k]
+    return det if det else abs(det)
 
 
 @dataclass(frozen=True)
@@ -146,17 +166,10 @@ class SOReport:
 
 def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
     """Max-abs entry of M^T M - I, the determinant, and the verdict."""
-    residual = 0
-    for i in range(8):
-        for j in range(8):
-            entry = sum(m.rows[k][i] * m.rows[k][j] for k in range(8))
-            if i == j:
-                entry = entry - 1
-            if abs(entry) > residual:
-                residual = abs(entry)
+    ident = Matrix8.identity().map_scalars(backend.from_fraction)
+    residual = max_abs_diff(compose(m.transpose(), m), ident)
     det = determinant(m)
-    one = backend.from_fraction(Fraction(1))
-    ok = backend.is_zero(residual) and backend.eq(det, one)
+    ok = backend.is_zero(residual) and backend.eq(det, ident.rows[0][0])
     return SOReport(residual, det, ok)
 
 
@@ -192,31 +205,20 @@ def rotate_plane_basis(p: OrientedPlane, s) -> OrientedPlane:
 
 
 def solve_linear(a_rows: Sequence[Sequence[Scalar]], b_rows: Sequence[Sequence[Scalar]]):
-    """Solve A X = B by Gauss-Jordan elimination; exact over rationals.
+    """Solve A X = B by ``_eliminate`` on [A | B], then back substitution.
 
-    Raises ZeroDivisionError when A is singular.
+    Exact over the rationals, Python ints included.  Raises ZeroDivisionError
+    when A is singular.
     """
     n = len(a_rows)
-    m = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
-    width = len(m[0])
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular linear system")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        inv = m[k][k]
-        m[k] = [x / inv for x in m[k]]
-        for i in range(n):
-            if i == k or not m[i][k]:
-                continue
-            f = m[i][k]
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [row[n:width] for row in m]
+    m, sign = _eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)])
+    if not sign:
+        raise ZeroDivisionError("singular linear system")
+    x = [None] * n
+    for i in reversed(range(n)):
+        known = [(m[i][j], x[j]) for j in range(i + 1, n) if m[i][j]]
+        x[i] = [(c - sum(u * xj[k] for u, xj in known)) / m[i][i] for k, c in enumerate(m[i][n:])]
+    return x
 
 
 def cayley_orthogonal(a: Matrix8) -> Matrix8:

@@ -71,13 +71,19 @@ class FrameB:
     norm_w: Scalar
 
 
-def basis_b(p: OrientedPlane, w: Vector8, backend: Backend = EXACT) -> FrameB:
+def basis_b(
+    p: OrientedPlane, w: Optional[Vector8] = None, backend: Backend = EXACT
+) -> FrameB:
     """Build and validate the frame spanned by the plane [x, y] and w.
 
-    Raises FrameError when the inputs violate their contracts or when any
-    of the 28 pairwise inner products fails to vanish.
+    w defaults to ``choose_w(p)``, chosen after the plane passes
+    ``check_plane`` (which raises PlaneError first).  Raises FrameError when
+    the inputs violate their contracts or when any of the 28 pairwise inner
+    products fails to vanish.
     """
     check_plane(p, backend)
+    if w is None:
+        w = choose_w(p, backend)
     one = backend.from_fraction(Fraction(1))
     x, y = p.u, p.v
     if not backend.eq(norm_sq(x), one):
@@ -177,8 +183,6 @@ def f7_factors(
     backend: Backend = EXACT,
 ) -> Tuple[Matrix8, Matrix8, Matrix8, Matrix8]:
     """The four commuting plane rotations whose product is the Spin(7) map."""
-    if w is None:
-        w = choose_w(p, backend)
     frame = basis_b(p, w, backend)
     e0, x, y, xy, wv, wx, wy, wxy = frame.elements
     planes = (
@@ -199,7 +203,7 @@ def f7(
     """Product of the four plane rotations at angle t; lands in Spin(7).
 
     The result does not depend on the admissible w (nor on the spanning
-    pair chosen for the plane); w defaults to ``choose_w(p)``.
+    pair chosen for the plane); w defaults as in ``basis_b``.
     """
     r1, r2, r3, r4 = f7_factors(p, t, w, backend)
     return compose(compose(compose(r1, r2), r3), r4)
@@ -342,12 +346,10 @@ def triality_check(
     a * psi_quarter(b) = psi_quarter(a*b) for frame elements a outside
     {x, y}, and the closed form g(x) psi(y) = -s*e0 + c*xy.
     """
-    if w is None:
-        w = choose_w(p, backend)
     frame = basis_b(p, w, backend).elements
-    psi = f7(p, t, w, backend)
+    psi = f7(p, t, frame[4], backend)
     g = plane_rotation(p, double_angle(t), backend)
-    psi_q = f7(p, CIRCLE_QUARTER.map_scalars(backend.from_fraction), w, backend)
+    psi_q = f7(p, CIRCLE_QUARTER.map_scalars(backend.from_fraction), frame[4], backend)
 
     def image_of_products(m):
         return lambda i, j: apply(m, mul(frame[i], frame[j]))

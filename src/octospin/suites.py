@@ -475,20 +475,13 @@ def _cayley_special_orthogonal(b, q, k):
     return None if so_check(q, b).passed else {"trial": k}
 
 
-def _frame_elements(b, p):
-    """The chosen w and the frame (e0, x, y, xy, w, wx, wy, w(xy)) on the backend."""
-    w = choose_w(p, b)
-    return w, basis_b(p, w, b).elements
-
-
 def _combination(coeffs, vectors):
     a, b, c, d = coeffs
     return vectors[0].scale(a) + vectors[1].scale(b) + vectors[2].scale(c) + vectors[3].scale(d)
 
 
 def _orthogonal_frame(b, p, t):
-    w = choose_w(p, b)
-    frame_table(basis_b(p, w, b), b)
+    frame_table(basis_b(p, backend=b), b)
     return None
 
 
@@ -499,9 +492,9 @@ def _f7_plane_basis_invariance(b, p, t, s):
 
 
 def _w_choice_invariance(b, p, t, coeffs):
-    w, frame = _frame_elements(b, p)
+    frame = basis_b(p, backend=b).elements
     w2 = _combination(coeffs, frame[4:])
-    ok = mat_eq(f7(p, t, w2, b), f7(p, t, w, b), b)
+    ok = mat_eq(f7(p, t, w2, b), f7(p, t, frame[4], b), b)
     return None if ok else {"plane": p, "coefficients": coeffs}
 
 
@@ -518,7 +511,7 @@ def _w_expansion(which):
     index, product = _EXPANSIONS[which]
 
     def check(b, p, t, coeffs):
-        _, frame = _frame_elements(b, p)
+        frame = basis_b(p, backend=b).elements
         lhs = mul(_combination(coeffs, frame[4:]), frame[index])
         ok = oct_eq(lhs, _combination(product(*coeffs), frame[4:]), b)
         return None if ok else {"plane": p}
@@ -527,9 +520,9 @@ def _w_expansion(which):
 
 
 def _tail_pair_action(b, p, t, coeffs):
-    w, frame = _frame_elements(b, p)
+    frame = basis_b(p, backend=b).elements
     w2 = _combination(coeffs, frame[4:])
-    _, _, r3, r4 = f7_factors(p, t, w, b)
+    _, _, r3, r4 = f7_factors(p, t, frame[4], b)
     lhs = apply(compose(r3, r4), w2)
     rhs = w2.scale(t.c) + mul(w2, frame[3]).scale(t.s)
     return None if oct_eq(lhs, rhs, b) else {"plane": p, "t": t}

@@ -169,6 +169,12 @@ def test_eval_rejects_bad_plane_geometry():
                 "--angle", "1,0"]) == 2
 
 
+def test_eval_f7_rejects_zero_plane(capsys):
+    zero = ",".join(["0"] * 8)
+    assert run(["eval", "f7", "--plane", zero + ";" + zero, "--angle", "0,1"]) == 2
+    assert "plane spanning pair must be nonzero" in capsys.readouterr().err
+
+
 def test_eval_float_backend(tmp_path):
     out = tmp_path / "f7f.json"
     code = run([

@@ -130,6 +130,13 @@ def test_degree_ledger_degenerate_degrees():
     assert degree_ledger(square, 1, 1).conclusion_magnitude == 2
 
 
+def test_degree_ledger_magnitude_of_negative_degree():
+    square = SquareReport(trials=10, failures=(), max_residual=F(0))
+    report = degree_ledger(square, -1, 2)
+    assert report.p_degree == -2
+    assert report.conclusion_magnitude == 4
+
+
 def test_degree_ledger_rejects_failed_square():
     square = SquareReport(trials=10, failures=(3,), max_residual=F(0))
     with pytest.raises(LedgerError):

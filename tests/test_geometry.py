@@ -13,6 +13,7 @@ from octospin.geometry import (
     compose,
     determinant,
     mat_eq,
+    max_abs_diff,
     parse_matrix,
     plane_rotation,
     random_antisymmetric,
@@ -106,6 +107,24 @@ def test_determinant_of_int_matrix_is_exact():
     det = determinant(Matrix8.from_rows(rows))
     assert det == 2584
     assert not isinstance(det, float)
+
+
+def test_solve_linear_of_int_system_is_exact():
+    x = solve_linear([[2, 1], [1, 3]], [[1], [2]])
+    assert x == [[F(1, 5)], [F(3, 5)]]
+    assert all(isinstance(v, F) for row in x for v in row)
+
+
+def test_solve_linear_zero_leading_pivot():
+    x = solve_linear([[0, 1], [1, 1]], [[2], [5]])
+    assert x == [[F(3)], [F(2)]]
+    assert all(isinstance(v, F) for row in x for v in row)
+
+
+def test_max_abs_diff():
+    m = plane_rotation(P12, T35)
+    assert max_abs_diff(m, m) == 0
+    assert max_abs_diff(m, Matrix8.identity()) == F(4, 5)
 
 
 def test_solve_linear_singular():

@@ -64,6 +64,18 @@ def test_basis_b_standard_instance():
     assert frame.norm_w == 1
 
 
+def test_basis_b_defaults_to_choose_w():
+    assert basis_b(P12) == basis_b(P12, E[4])
+
+
+def test_zero_plane_is_a_plane_error():
+    zero = OrientedPlane(Octonion.zero(), Octonion.zero())
+    with pytest.raises(PlaneError, match="nonzero"):
+        f7(zero, T35)
+    with pytest.raises(PlaneError, match="nonzero"):
+        basis_b(zero)
+
+
 def test_basis_b_scaled_w():
     frame = basis_b(P12, E[4].scale(F(2)))
     assert frame.norm_w == 4

@@ -48,6 +48,9 @@ def test_broken_algebra_is_a_failing_report(monkeypatch):
     code, report = run_verify_suite(RunConfig(trials=1))
 
     assert code == 1
+    frame_claim = next(c for c in report["results"]["f7-well-defined"]
+                       if c["claim"] == "frame.orthogonal-basis")
+    assert not frame_claim["passed"]
     for name in ("f7-well-defined", "spin7-membership", "triality", "double-cover",
                  "commutative-square", "degree-ledger"):
         assert any(not claim["passed"] for claim in report["results"][name]), name
