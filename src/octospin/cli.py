@@ -3,7 +3,7 @@
 Commands:
     verify     run selected verification suites and write a JSON report
     eval       evaluate one of the maps and export the matrix with checks
-    table      print the frame multiplication table for a plane and w
+    table      check a plane's frame against FRAME_TABLE and print the table
     gen-frame  print an exact random orthonormal pair
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
@@ -25,6 +25,8 @@ from .geometry import (
 from .octonion import Octonion, norm_sq, parse_octonion, serialize
 from .scalar import Backend, make_backend, parse_circle_point
 from .spinmaps import (
+    FRAME_TABLE,
+    FrameError,
     basis_b,
     f5,
     f7,
@@ -136,13 +138,15 @@ def _cmd_table(args) -> int:
     plane = _parse_plane(args.plane, backend)
     w = _parse_vector(args.w, backend) if args.w else None
     frame = basis_b(plane, w, backend)
-    table = frame_table(frame, backend)
+    mismatches = frame_table(frame, backend)
+    if mismatches:
+        raise FrameError(f"frame products {list(mismatches)} disagree with FRAME_TABLE")
     lines = [
         "frame: e0, x, y, xy, w, wx, wy, w(xy)",
         "w = [" + ", ".join(serialize(frame.elements[4], backend)) + "]",
         "|w|^2 = N = " + backend.format(frame.norm_w),
         "",
-        format_frame_table(table),
+        format_frame_table(FRAME_TABLE),
         "",
     ]
     _write_output("\n".join(lines), args.out)

@@ -60,12 +60,7 @@ class Matrix8:
 
     @staticmethod
     def identity() -> "Matrix8":
-        return Matrix8(
-            tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(8))
-                for i in range(8)
-            )
-        )
+        return _IDENTITY.map_scalars(Fraction)
 
     @staticmethod
     def from_rows(rows) -> "Matrix8":
@@ -85,6 +80,10 @@ class Matrix8:
 
     def map_scalars(self, fn) -> "Matrix8":
         return Matrix8(tuple(tuple(fn(x) for x in row) for row in self.rows))
+
+
+#: The identity in ints, which subtract exactly from Fractions and floats alike.
+_IDENTITY = Matrix8(tuple(tuple(int(i == j) for j in range(8)) for i in range(8)))
 
 
 def compose(a: Matrix8, b: Matrix8) -> Matrix8:
@@ -166,10 +165,9 @@ class SOReport:
 
 def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
     """Max-abs entry of M^T M - I, the determinant, and the verdict."""
-    ident = Matrix8.identity().map_scalars(backend.from_fraction)
-    residual = max_abs_diff(compose(m.transpose(), m), ident)
+    residual = max_abs_diff(compose(m.transpose(), m), _IDENTITY)
     det = determinant(m)
-    ok = backend.is_zero(residual) and backend.eq(det, ident.rows[0][0])
+    ok = backend.is_zero(residual) and backend.eq(det, 1)
     return SOReport(residual, det, ok)
 
 
@@ -221,22 +219,28 @@ def solve_linear(a_rows: Sequence[Sequence[Scalar]], b_rows: Sequence[Sequence[S
     return x
 
 
+def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
+    """Columns ``cols`` of the Cayley transform of an antisymmetric rational A,
+    from one solve of (I + A) X = (I - A) with only those right-hand sides.
+
+    (I - A) and (I + A)^-1 commute, so X is the transform in either factor
+    order; elimination treats each right-hand side on its own, so the columns
+    equal those of the full transform.
+    """
+    if any(a.rows[i][j] != -a.rows[j][i] for i in range(8) for j in range(8)):
+        raise ValueError("matrix must be antisymmetric")
+    plus = [[int(i == j) + a.rows[i][j] for j in range(8)] for i in range(8)]
+    minus = [[int(i == j) - a.rows[i][j] for j in cols] for i in range(8)]
+    return tuple(map(Octonion, zip(*solve_linear(plus, minus))))
+
+
 def cayley_orthogonal(a: Matrix8) -> Matrix8:
     """Cayley transform (I - A)(I + A)^-1 of an antisymmetric rational A.
 
     The result is an exact rational special-orthogonal matrix; I + A is
     always invertible for real antisymmetric A.
     """
-    for i in range(8):
-        for j in range(8):
-            if a.rows[i][j] != -a.rows[j][i]:
-                raise ValueError("matrix must be antisymmetric")
-    ident = Matrix8.identity()
-    plus = [[ident.rows[i][j] + a.rows[i][j] for j in range(8)] for i in range(8)]
-    minus = [[ident.rows[i][j] - a.rows[i][j] for j in range(8)] for i in range(8)]
-    # (I - A) and (I + A)^-1 commute, so solving (I + A) X = (I - A) gives
-    # the transform in either factor order.
-    return Matrix8.from_rows(solve_linear(plus, minus))
+    return Matrix8.from_rows(c.coords for c in cayley_columns(a, range(8))).transpose()
 
 
 SUBSPACE_COORDS = {"R7": (1, 2, 3, 4, 5, 6, 7), "R5": (1, 2, 3, 4, 5)}
@@ -257,7 +261,7 @@ def random_antisymmetric(rng: random.Random, support: Sequence[int]) -> Matrix8:
 def random_orthonormal_pair(seed: int, restrict_to: str = "R7", index=0) -> OrientedPlane:
     """Exact random orthonormal pair [x, y] spanning an oriented plane.
 
-    The pair consists of the first two columns of the Cayley transform of a
+    The pair is the first two support columns of the Cayley transform of a
     random antisymmetric matrix supported on the chosen subspace (imaginary
     coordinates 1-7 for "R7", 1-5 for "R5"), so x and y are exactly unit,
     exactly orthogonal, and purely imaginary.  Distinct (seed, index) pairs
@@ -265,8 +269,8 @@ def random_orthonormal_pair(seed: int, restrict_to: str = "R7", index=0) -> Orie
     """
     support = SUBSPACE_COORDS[restrict_to]
     rng = derived_rng(seed, "pair", restrict_to, index)
-    q = cayley_orthogonal(random_antisymmetric(rng, support))
-    return OrientedPlane(q.column(support[0]), q.column(support[1]))
+    x, y = cayley_columns(random_antisymmetric(rng, support), support[:2])
+    return OrientedPlane(x, y)
 
 
 def choose_w(p: OrientedPlane, backend: Backend = EXACT) -> Vector8:

@@ -13,6 +13,10 @@ verification suites exercise: the eight-element frame and its product
 table, the double-cover projection, the Spin(7) membership decision
 procedure, and the octonion-multiplication compatibility check.
 
+Every frame multiplies like one signed table, ``FRAME_TABLE`` (N = |w|^2 on
+the w-block).  One loop checks a relation g(a) h(b) = h(a*b) against a table:
+the basis table for membership, ``FRAME_TABLE`` for triality and the frame.
+
 Spin(7) is realized inside SO(8) as the set of g~ admitting a g in SO(7)
 with g(a) * g~(b) = g~(a*b) for all octonions a, b; the projection
 g~ -> g is the double covering.
@@ -123,40 +127,33 @@ def basis_b(
     return FrameB(elements, nw)
 
 
-def frame_table(f: FrameB, backend: Backend = EXACT):
-    """Signed 8x8 product table of the frame.
+def _standard_frame_table():
+    """The table read off FANO_SIGN/FANO_INDEX on the frame of [e1, e2], w = e4.
 
-    Entry [i][j] is (sign, k, norm_power) meaning
-    elements[i] * elements[j] = sign * norm_w**norm_power * elements[k],
-    with norm_power = 1 exactly when both factors come from the last four
-    elements.  Every product is verified against direct octonion
-    multiplication; a mismatch raises FrameError.
+    That frame is (e0, e1, e2, e3, e4, -e5, e6, -e7), element i = sign_i * e_i.
     """
-    n = f.norm_w
-    table = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            prod = mul(f.elements[i], f.elements[j])
-            power = 1 if (i >= 4 and j >= 4) else 0
-            target = n if power else backend.from_fraction(Fraction(1))
-            entry = None
-            for k in range(8):
-                cand = f.elements[k]
-                if oct_eq(prod, cand.scale(target), backend):
-                    entry = (1, k, power)
-                    break
-                if oct_eq(prod, cand.scale(-target), backend):
-                    entry = (-1, k, power)
-                    break
-            if entry is None:
-                raise FrameError(
-                    f"product {FRAME_NAMES[i]}*{FRAME_NAMES[j]} is not a signed "
-                    "multiple of a frame element"
-                )
-            row.append(entry)
-        table.append(tuple(row))
-    return tuple(table)
+    e1, e2, e4 = (Octonion.basis(i) for i in (1, 2, 4))
+    signs = [int(el.coords[i]) for i, el in enumerate(basis_b(OrientedPlane(e1, e2), e4).elements)]
+    return tuple(
+        tuple(
+            (signs[i] * signs[j] * signs[k] * FANO_SIGN[i][j], k, int(i >= 4 and j >= 4))
+            for j in range(8)
+            for k in (FANO_INDEX[i][j],)
+        )
+        for i in range(8)
+    )
+
+
+#: FRAME_TABLE[i][j] = (sign, k, power): elements[i] * elements[j] =
+#: sign * N**power * elements[k] in every frame, N = |w|^2; power is 1
+#: exactly when both factors come from the last four elements.
+FRAME_TABLE = _standard_frame_table()
+
+
+def frame_table(f: FrameB, backend: Backend = EXACT) -> Tuple[Tuple[int, int], ...]:
+    """The pairs (i, j) whose product elements[i] * elements[j], multiplied
+    out, disagrees with its ``FRAME_TABLE`` entry; () for a valid frame."""
+    return _relation_failures(f.elements, f.elements, f.elements, FRAME_TABLE, f.norm_w, backend)
 
 
 def format_frame_table(table) -> str:
@@ -278,18 +275,23 @@ class MembershipReport:
         }
 
 
-def _relation_failures(left, right, product_image, backend: Backend, rows=range(8)):
-    """The pairs (i, j), i in rows, with left[i] * right[j] != product_image(i, j).
+def _relation_failures(left, right, images, table, n, backend: Backend, rows=range(8)):
+    """The pairs (i, j), i in rows, where g(a_i) h(b_j) != h(a_i * b_j).
 
-    ``left`` and ``right`` are the images of eight vectors a_i, b_j under the
-    two maps of a relation g(a) h(b) = h(a*b), computed once per vector;
-    ``product_image(i, j)`` is the image h(a_i * b_j).
+    ``left[i]`` = g(a_i) and ``right[j]`` = h(b_j) are multiplied out; ``table``
+    gives a_i * b_j = sign * n**power * c_k and ``images[k]`` = h(c_k), so the
+    right side is read off.
     """
+    scaled = (images, [v.scale(n) for v in images])
+
+    def image(sign, k, power):
+        return scaled[power][k] if sign > 0 else -scaled[power][k]
+
     return tuple(
         (i, j)
         for i in rows
         for j in range(8)
-        if not oct_eq(mul(left[i], right[j]), product_image(i, j), backend)
+        if not oct_eq(mul(left[i], right[j]), image(*table[i][j]), backend)
     )
 
 
@@ -311,15 +313,9 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
     fixes_e0 = oct_eq(g.column(0), Octonion.basis(0), backend)
     maps_im = all(backend.is_zero(g.rows[0][j]) for j in range(1, 8))
     in_so7 = fixes_e0 and maps_im and so_check(g, backend).passed
-    cols = [gt.column(j) for j in range(8)]
-
-    def basis_product_image(i, j):
-        col = cols[FANO_INDEX[i][j]]
-        return col if FANO_SIGN[i][j] > 0 else -col
-
-    failures = _relation_failures(
-        [g.column(i) for i in range(8)], cols, basis_product_image, backend
-    )
+    g_cols, cols = ([m.column(j) for j in range(8)] for m in (g, gt))
+    basis_table = [[(FANO_SIGN[i][j], FANO_INDEX[i][j], 0) for j in range(8)] for i in range(8)]
+    failures = _relation_failures(g_cols, cols, cols, basis_table, 1, backend)
     return MembershipReport(g, failures, in_so7, in_so7 and not failures)
 
 
@@ -344,34 +340,25 @@ def triality_check(
     Here psi is the four-rotation product at angle t and g the bare plane
     rotation at the doubled angle.  Also checks the quarter-turn identity
     a * psi_quarter(b) = psi_quarter(a*b) for frame elements a outside
-    {x, y}, and the closed form g(x) psi(y) = -s*e0 + c*xy.
+    {x, y}, and the closed form g(x) psi(y) = -s*e0 + c*xy.  The left sides
+    are multiplied out; psi(a*b) is read from ``FRAME_TABLE`` and the images
+    of the frame, psi being linear.
     """
-    frame = basis_b(p, w, backend).elements
-    psi = f7(p, t, frame[4], backend)
+    frame = basis_b(p, w, backend)
+    e, n = frame.elements, frame.norm_w
     g = plane_rotation(p, double_angle(t), backend)
-    psi_q = f7(p, CIRCLE_QUARTER.map_scalars(backend.from_fraction), frame[4], backend)
+    psi = f7(p, t, e[4], backend)
+    psi_q = f7(p, CIRCLE_QUARTER.map_scalars(backend.from_fraction), e[4], backend)
+    g_images, psi_images, psi_q_images = ([apply(m, b) for b in e] for m in (g, psi, psi_q))
 
-    def image_of_products(m):
-        return lambda i, j: apply(m, mul(frame[i], frame[j]))
-
-    g_images = [apply(g, a) for a in frame]
-    psi_images = [apply(psi, b) for b in frame]
-    psi_of_product = image_of_products(psi)
-    pair_failures = _relation_failures(g_images, psi_images, psi_of_product, backend)
+    pair_failures = _relation_failures(g_images, psi_images, psi_images, FRAME_TABLE, n, backend)
     half_turn_failures = _relation_failures(
-        frame,
-        [apply(psi_q, b) for b in frame],
-        image_of_products(psi_q),
-        backend,
-        rows=(0, 3, 4, 5, 6, 7),
+        e, psi_q_images, psi_q_images, FRAME_TABLE, n, backend, rows=(0, 3, 4, 5, 6, 7)
     )
-
-    closed_form = Octonion.basis(0).scale(-t.s) + frame[3].scale(t.c)
-    lhs = mul(g_images[1], psi_images[2])
-    explicit_ok = oct_eq(lhs, closed_form, backend) and oct_eq(
-        psi_of_product(1, 2), closed_form, backend
+    closed_form = Octonion.basis(0).scale(-t.s) + e[3].scale(t.c)
+    explicit_ok = oct_eq(mul(g_images[1], psi_images[2]), closed_form, backend) and oct_eq(
+        psi_images[3], closed_form, backend
     )
-
     return TrialityReport(
         pair_failures,
         half_turn_failures,

@@ -27,6 +27,7 @@ from .geometry import (
     Matrix8,
     OrientedPlane,
     apply,
+    cayley_columns,
     cayley_orthogonal,
     choose_w,
     compose,
@@ -352,8 +353,9 @@ def _cayley_inputs(seed, k):
 
 def _unit_vector(seed, k):
     rng = derived_rng(seed, "unit-vector", k)
-    q = cayley_orthogonal(random_antisymmetric(rng, range(8)))
-    return q.column(rng.randrange(8)), k
+    a = random_antisymmetric(rng, range(8))
+    (column,) = cayley_columns(a, (rng.randrange(8),))
+    return column, k
 
 
 def _angle_parameters(seed, k):
@@ -481,8 +483,8 @@ def _combination(coeffs, vectors):
 
 
 def _orthogonal_frame(b, p, t):
-    frame_table(basis_b(p, backend=b), b)
-    return None
+    failures = frame_table(basis_b(p, backend=b), b)
+    return {"plane": p, "pairs": failures[:4]} if failures else None
 
 
 def _f7_plane_basis_invariance(b, p, t, s):

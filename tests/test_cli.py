@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from octospin import spinmaps
 from octospin.cli import main
 from octospin.octonion import parse_octonion
 from octospin.scalar import EXACT
@@ -204,6 +205,15 @@ def test_table_with_explicit_w(tmp_path):
 
 def test_table_rejects_inadmissible_w():
     assert run(["table", "--plane", "e1,e2", "--w", "e3"]) == 2
+
+
+def test_table_rejects_frame_that_disagrees_with_frame_table(monkeypatch, capsys):
+    table = [list(row) for row in spinmaps.FRAME_TABLE]
+    sign, k, power = table[5][6]
+    table[5][6] = (-sign, k, power)
+    monkeypatch.setattr(spinmaps, "FRAME_TABLE", tuple(map(tuple, table)))
+    assert run(["table", "--plane", "e1,e2", "--w", "e4"]) == 2
+    assert "[(5, 6)] disagree with FRAME_TABLE" in capsys.readouterr().err
 
 
 def test_gen_frame(tmp_path):

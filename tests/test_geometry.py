@@ -6,6 +6,7 @@ from octospin.geometry import (
     Matrix8,
     OrientedPlane,
     PlaneError,
+    SUBSPACE_COORDS,
     apply,
     cayley_orthogonal,
     check_plane,
@@ -178,6 +179,16 @@ def test_random_orthonormal_pair_r5_support():
     for vec in (p.u, p.v):
         assert vec.coords[0] == 0 and vec.coords[6] == 0 and vec.coords[7] == 0
     assert inner(p.u, p.v) == 0 and norm_sq(p.u) == 1
+
+
+@pytest.mark.parametrize("subspace", ["R7", "R5"])
+def test_random_orthonormal_pair_is_two_cayley_columns(subspace):
+    support = SUBSPACE_COORDS[subspace]
+    for k in range(5):
+        rng = derived_rng(11, "pair", subspace, k)
+        q = cayley_orthogonal(random_antisymmetric(rng, support))
+        p = random_orthonormal_pair(11, subspace, k)
+        assert (p.u, p.v) == (q.column(support[0]), q.column(support[1]))
 
 
 def test_random_orthonormal_pair_determinism():

@@ -109,6 +109,16 @@ _DEFECTS = {
         lambda original: lambda gt: -original(gt),
         {"spin7.f7-image", "cover.center", "square.pointwise"},
     ),
+    "mul-opposite-algebra": (
+        octonion.mul,
+        lambda original: lambda a, b: original(b, a),
+        {"octonion.e3e2-equals-minus-e1", "spin7.f7-image", "spin7.minus-identity"},
+    ),
+    "relation-loop-finds-nothing": (
+        spinmaps._relation_failures,
+        lambda original: lambda *args, **kwargs: (),
+        {"spin7.single-rotation-rejected"},
+    ),
 }
 
 
@@ -122,6 +132,22 @@ def test_defect_turns_named_claims_red(monkeypatch, defect):
     red = {c["claim"] for claims in report["results"].values() for c in claims if not c["passed"]}
     assert code == 1
     assert expected_red <= red
+
+
+def test_frame_table_flip_fails_by_value(monkeypatch):
+    table = [list(row) for row in spinmaps.FRAME_TABLE]
+    sign, k, power = table[5][6]
+    table[5][6] = (-sign, k, power)
+    monkeypatch.setattr(spinmaps, "FRAME_TABLE", tuple(map(tuple, table)))
+
+    code, report = run_verify_suite(RunConfig(backend="exact", seed=42, trials=1))
+
+    claims = {c["claim"]: c for results in report["results"].values() for c in results}
+    frame_failures = claims["frame.orthogonal-basis"]["failures"]
+    assert code == 1
+    assert frame_failures and all("pairs" in f and "error" not in f for f in frame_failures)
+    assert [5, 6] in frame_failures[0]["pairs"]
+    assert not claims["triality.sixty-four-pairs"]["passed"]
 
 
 def _verdicts(backend, seed):
