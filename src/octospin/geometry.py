@@ -10,17 +10,24 @@ Special-orthogonal matrices with exact rational entries come from the
 Cayley transform A -> (I - A)(I + A)^-1 of random antisymmetric rational
 matrices; their columns provide exactly orthonormal frames for the random
 plane generator; the solve behind it and the determinant share one elimination.
+
+``compose``, ``apply`` and ``plane_rotation`` multiply and sum the numerators
+of ``scalar.cleared`` (ints over one denominator per operand on the exact
+backend, the floats themselves with scale 1.0 on floats) and divide each
+entry by the product of the scales once, so exact results are reduced
+Fractions computed without a gcd per operation and float bits are unchanged.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .octonion import Octonion, Vector8, inner, mul, norm_sq
-from .scalar import Backend, EXACT, Scalar, derived_rng
+from .scalar import Backend, EXACT, Scalar, cleared, derived_rng
 
 
 class PlaneError(ValueError):
@@ -86,20 +93,29 @@ class Matrix8:
 _IDENTITY = Matrix8(tuple(tuple(int(i == j) for j in range(8)) for i in range(8)))
 
 
+def _cleared_rows(m: Matrix8):
+    """The rows of ``cleared`` numerators of all 64 entries, and their scale."""
+    nums, scale = cleared([x for row in m.rows for x in row])
+    return [nums[i:i + 8] for i in range(0, 64, 8)], scale
+
+
 def compose(a: Matrix8, b: Matrix8) -> Matrix8:
-    """Matrix product a*b (apply b first, then a)."""
-    bt = tuple(zip(*b.rows))
+    """Matrix product a*b (apply b first, then a), on cleared numerators."""
+    rows, sa = _cleared_rows(a)
+    brows, sb = _cleared_rows(b)
+    scale = sa * sb
+    cols = tuple(zip(*brows))
     return Matrix8(
-        tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.rows
-        )
+        tuple(tuple(sum(map(operator.mul, row, col)) / scale for col in cols) for row in rows)
     )
 
 
 def apply(a: Matrix8, z: Vector8) -> Vector8:
-    """Matrix-vector product."""
-    return Octonion(tuple(sum(x * y for x, y in zip(row, z.coords)) for row in a.rows))
+    """Matrix-vector product, on cleared numerators."""
+    rows, sa = _cleared_rows(a)
+    zn, sz = cleared(z.coords)
+    scale = sa * sz
+    return Octonion(tuple(sum(map(operator.mul, row, zn)) / scale for row in rows))
 
 
 def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
@@ -176,18 +192,21 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
 
     With N the common squared norm of u and v, the matrix is
     I + ((c-1)/N)(u u^T + v v^T) + (s/N)(v u^T - u v^T); it sends
-    u -> c*u + s*v and v -> -s*u + c*v and is special orthogonal.
+    u -> c*u + s*v and v -> -s*u + c*v and is special orthogonal.  The
+    entries are computed on the cleared numerators of the two coefficients
+    and of u and v together, each divided by the scales once.
     """
     check_plane(p, backend)
     n = norm_sq(p.u)
-    a = (t.c - 1) / n
-    b = t.s / n
-    u, v = p.u.coords, p.v.coords
+    (a, b), sab = cleared([(t.c - 1) / n, t.s / n])
+    uv, suv = cleared(p.u.coords + p.v.coords)
+    u, v = uv[:8], uv[8:]
+    scale = sab * suv * suv
     rows = []
     for i in range(8):
         row = []
         for j in range(8):
-            entry = a * (u[i] * u[j] + v[i] * v[j]) + b * (v[i] * u[j] - u[i] * v[j])
+            entry = (a * (u[i] * u[j] + v[i] * v[j]) + b * (v[i] * u[j] - u[i] * v[j])) / scale
             if i == j:
                 entry = entry + 1
             row.append(entry)

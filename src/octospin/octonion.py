@@ -10,16 +10,22 @@ The orientations were pinned down operationally: they are the unique
 assignment, given e1*e2 = e3 and the products e4*e1 = -e5, e4*e2 = e6,
 e4*e3 = -e7, under which the algebra is alternative and norm-multiplicative
 (the identity suites in :mod:`octospin.suites` re-check this on every run).
+
+``mul`` and ``inner`` accumulate on the numerators of ``scalar.cleared``:
+Python ints over one shared denominator on the exact backend, the floats
+themselves (scale 1.0) on the float backend, in the same order either way;
+each result is divided by the scales once.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .scalar import Backend, EXACT, Scalar, random_rational
+from .scalar import Backend, EXACT, Scalar, cleared, random_rational
 
 FANO_CYCLES: Tuple[Tuple[int, int, int], ...] = (
     (1, 2, 3),
@@ -95,21 +101,28 @@ Vector8 = Octonion
 
 
 def mul(a: Octonion, b: Octonion) -> Octonion:
-    """Octonion product, the bilinear extension of the basis table."""
+    """Octonion product, the bilinear extension of the basis table.
+
+    Accumulates on the cleared numerators of a and b and divides each
+    coordinate by the two scales once.
+    """
+    an, sa = cleared(a.coords)
+    bn, sb = cleared(b.coords)
     out = [0] * 8
-    for i, ai in enumerate(a.coords):
+    for i, ai in enumerate(an):
         if not ai:
             continue
         srow = FANO_SIGN[i]
         krow = FANO_INDEX[i]
-        for j, bj in enumerate(b.coords):
+        for j, bj in enumerate(bn):
             if not bj:
                 continue
             if srow[j] > 0:
                 out[krow[j]] += ai * bj
             else:
                 out[krow[j]] -= ai * bj
-    return Octonion(tuple(out))
+    scale = sa * sb
+    return Octonion(tuple(c / scale for c in out))
 
 
 def conj(a: Octonion) -> Octonion:
@@ -118,21 +131,24 @@ def conj(a: Octonion) -> Octonion:
 
 
 def inner(a: Octonion, b: Octonion) -> Scalar:
-    """Euclidean dot product of the coordinate vectors."""
-    return sum(x * y for x, y in zip(a.coords, b.coords))
+    """Euclidean dot product of the coordinate vectors, on cleared numerators."""
+    an, sa = cleared(a.coords)
+    bn, sb = cleared(b.coords)
+    return sum(map(operator.mul, an, bn)) / (sa * sb)
 
 
 def norm_sq(a: Octonion) -> Scalar:
     return inner(a, a)
 
 
-def right_divide(a: Octonion, u: Octonion) -> Octonion:
+def right_divide(a: Octonion, u: Octonion, backend: Backend = EXACT) -> Octonion:
     """The unique b with b*u = a, namely a*conj(u) / |u|^2.
 
-    Raises ZeroDivisionError when u = 0.
+    Raises ZeroDivisionError when |u|^2 is zero for the backend (within its
+    tolerance on floats).
     """
     n = norm_sq(u)
-    if not n:
+    if backend.is_zero(n):
         raise ZeroDivisionError("division by the zero octonion")
     prod = mul(a, conj(u))
     return Octonion(tuple(c / n for c in prod.coords))

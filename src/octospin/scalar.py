@@ -81,6 +81,24 @@ Backend = Union[ExactBackend, FloatBackend]
 EXACT = ExactBackend()
 
 
+def cleared(values):
+    """(numerators, scale) with ``values[i] == numerators[i] / scale``.
+
+    Rationals and ints: Python-int numerators over the lcm of the
+    denominators, with that lcm as a ``Fraction`` scale, so a sum of numerator
+    products divided by a product of scales is a reduced Fraction, never a
+    float.  Any float among the values (float vectors may also hold Fraction
+    basis entries and int zeros): the values themselves and scale 1.0, so the
+    float operations are unchanged and the final division by 1.0 is exact.
+    The rationals of a float computation are integer-valued basis entries, so
+    an all-rational operand there has scale 1 and numerators equal to its values.
+    """
+    if type(values[0]) is float or float in map(type, values):
+        return values, 1.0
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], Fraction(den)
+
+
 def make_backend(name: str, epsilon: float = 1e-9) -> Backend:
     """Build a backend from its config name ("exact" or "float")."""
     if name == "exact":

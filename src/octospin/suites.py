@@ -418,7 +418,7 @@ def _conjugation(b, x, e0):
 
 
 def _right_division(b, v, u):
-    return None if oct_eq(right_divide(mul(v, u), u), v, b) else {"b": v, "u": u}
+    return None if oct_eq(right_divide(mul(v, u), u, b), v, b) else {"b": v, "u": u}
 
 
 def _fano_consistency(b):

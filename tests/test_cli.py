@@ -212,7 +212,7 @@ def test_table_rejects_frame_that_disagrees_with_frame_table(monkeypatch, capsys
     sign, k, power = table[5][6]
     table[5][6] = (-sign, k, power)
     monkeypatch.setattr(spinmaps, "FRAME_TABLE", tuple(map(tuple, table)))
-    assert run(["table", "--plane", "e1,e2", "--w", "e4"]) == 2
+    assert run(["table", "--plane", "e1,e2", "--w", "e4"]) == 1
     assert "[(5, 6)] disagree with FRAME_TABLE" in capsys.readouterr().err
 
 
