@@ -5,138 +5,9 @@ decides Spin(7) membership through the octonion-compatibility relation,
 projects along the double cover to SO(7), and keeps a winding-degree
 ledger for the circle maps feeding the construction.  All of it runs over
 exact rational arithmetic (the default) or 64-bit floats with tolerances.
+
+The modules are the import surface: ``scalar``, ``octonion``, ``geometry``,
+``spinmaps``, ``degree``, ``suites`` and ``cli``.
 """
 
-from .scalar import (
-    CIRCLE_HALF,
-    CIRCLE_IDENTITY,
-    CIRCLE_QUARTER,
-    CirclePoint,
-    EXACT,
-    ExactBackend,
-    FloatBackend,
-    angle_sum,
-    circle_from_parameter,
-    double_angle,
-    make_backend,
-    on_circle,
-)
-from .octonion import (
-    FANO_CYCLES,
-    Octonion,
-    Vector8,
-    conj,
-    inner,
-    mul,
-    norm_sq,
-    oct_eq,
-    right_divide,
-)
-from .geometry import (
-    Matrix8,
-    OrientedPlane,
-    PlaneError,
-    SOReport,
-    apply,
-    cayley_orthogonal,
-    choose_w,
-    compose,
-    mat_eq,
-    plane_rotation,
-    random_orthonormal_pair,
-    rotate_plane_basis,
-    so_check,
-)
-from .spinmaps import (
-    FRAME_TABLE,
-    FrameB,
-    FrameError,
-    MembershipReport,
-    TrialityReport,
-    basis_b,
-    f5,
-    f7,
-    f7xf5,
-    frame_table,
-    h70,
-    p_map,
-    project_double_cover,
-    spin8_map,
-    triality_check,
-    verify_spin7,
-)
-from .degree import (
-    AmbiguousArcError,
-    DegreeReport,
-    LedgerError,
-    SquareReport,
-    degree_ledger,
-    verify_square,
-    winding_degree,
-)
-from .suites import RunConfig, SUITE_NAMES, run_verify_suite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguousArcError",
-    "CIRCLE_HALF",
-    "CIRCLE_IDENTITY",
-    "CIRCLE_QUARTER",
-    "CirclePoint",
-    "DegreeReport",
-    "EXACT",
-    "ExactBackend",
-    "FANO_CYCLES",
-    "FRAME_TABLE",
-    "FloatBackend",
-    "FrameB",
-    "FrameError",
-    "LedgerError",
-    "Matrix8",
-    "MembershipReport",
-    "Octonion",
-    "OrientedPlane",
-    "PlaneError",
-    "RunConfig",
-    "SOReport",
-    "SquareReport",
-    "SUITE_NAMES",
-    "TrialityReport",
-    "Vector8",
-    "angle_sum",
-    "apply",
-    "basis_b",
-    "cayley_orthogonal",
-    "choose_w",
-    "circle_from_parameter",
-    "compose",
-    "conj",
-    "degree_ledger",
-    "double_angle",
-    "f5",
-    "f7",
-    "f7xf5",
-    "frame_table",
-    "h70",
-    "inner",
-    "make_backend",
-    "mat_eq",
-    "mul",
-    "norm_sq",
-    "oct_eq",
-    "on_circle",
-    "p_map",
-    "plane_rotation",
-    "project_double_cover",
-    "random_orthonormal_pair",
-    "right_divide",
-    "rotate_plane_basis",
-    "run_verify_suite",
-    "so_check",
-    "spin8_map",
-    "triality_check",
-    "verify_spin7",
-    "verify_square",
-    "winding_degree",
-]

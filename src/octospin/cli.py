@@ -22,8 +22,8 @@ from .geometry import (
     serialize_matrix,
     so_check,
 )
-from .octonion import Octonion, norm_sq, parse_octonion, serialize
-from .scalar import Backend, make_backend, parse_circle_point
+from .octonion import Octonion, inner, norm_sq, parse_octonion, serialize
+from .scalar import Backend, EXACT, make_backend, parse_circle_point
 from .spinmaps import (
     FRAME_TABLE,
     basis_b,
@@ -155,15 +155,14 @@ def _cmd_table(args) -> int:
 
 def _cmd_gen_frame(args) -> int:
     plane = random_orthonormal_pair(args.seed, args.subspace, args.index)
-    backend = make_backend("exact")
     payload = {
         "seed": args.seed,
         "index": args.index,
         "subspace": args.subspace,
-        "u": serialize(plane.u, backend),
-        "v": serialize(plane.v, backend),
-        "inner": backend.format(0),
-        "norm_sq": backend.format(norm_sq(plane.u)),
+        "u": serialize(plane.u, EXACT),
+        "v": serialize(plane.v, EXACT),
+        "inner": EXACT.format(inner(plane.u, plane.v)),
+        "norm_sq": EXACT.format(norm_sq(plane.u)),
     }
     _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -67,7 +67,8 @@ class Matrix8:
 
     @staticmethod
     def identity() -> "Matrix8":
-        return _IDENTITY.map_scalars(Fraction)
+        """The shared identity in Python ints."""
+        return _IDENTITY
 
     @staticmethod
     def from_rows(rows) -> "Matrix8":

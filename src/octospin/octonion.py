@@ -158,10 +158,6 @@ def oct_eq(a: Octonion, b: Octonion, backend: Backend = EXACT) -> bool:
     return all(backend.eq(x, y) for x, y in zip(a.coords, b.coords))
 
 
-def is_zero(a: Octonion, backend: Backend = EXACT) -> bool:
-    return all(backend.is_zero(c) for c in a.coords)
-
-
 def is_imaginary(a: Octonion, backend: Backend = EXACT) -> bool:
     """True when the e0 coordinate vanishes."""
     return backend.is_zero(a.coords[0])

@@ -154,7 +154,7 @@ def angle_sum(p: CirclePoint, q: CirclePoint) -> CirclePoint:
 
 
 def on_circle(p: CirclePoint, backend: Backend = EXACT) -> bool:
-    return backend.eq(p.c * p.c + p.s * p.s, backend.from_fraction(Fraction(1)))
+    return backend.eq(p.c * p.c + p.s * p.s, 1)
 
 
 def circle_eq(p: CirclePoint, q: CirclePoint, backend: Backend = EXACT) -> bool:

@@ -25,7 +25,6 @@ g~ -> g is the double covering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .geometry import (
@@ -47,7 +46,6 @@ from .octonion import (
     Vector8,
     inner,
     is_imaginary,
-    is_zero,
     mul,
     norm_sq,
     oct_eq,
@@ -88,9 +86,8 @@ def basis_b(
     check_plane(p, backend)
     if w is None:
         w = choose_w(p, backend)
-    one = backend.from_fraction(Fraction(1))
     x, y = p.u, p.v
-    if not backend.eq(norm_sq(x), one):
+    if not backend.eq(norm_sq(x), 1):
         raise FrameError("plane spanning pair must be unit")
     if not (is_imaginary(x, backend) and is_imaginary(y, backend)):
         raise FrameError("plane must be purely imaginary")
@@ -121,7 +118,7 @@ def basis_b(
                     "are not orthogonal"
                 )
     for i, el in enumerate(elements):
-        expected = one if i < 4 else nw
+        expected = 1 if i < 4 else nw
         if not backend.eq(norm_sq(el), expected):
             raise FrameError(f"frame element {FRAME_NAMES[i]} has the wrong norm")
     return FrameB(elements, nw)
@@ -153,7 +150,7 @@ FRAME_TABLE = _standard_frame_table()
 def frame_table(f: FrameB, backend: Backend = EXACT) -> Tuple[Tuple[int, int], ...]:
     """The pairs (i, j) whose product elements[i] * elements[j], multiplied
     out, disagrees with its ``FRAME_TABLE`` entry; () for a valid frame."""
-    return _relation_failures(f.elements, f.elements, f.elements, FRAME_TABLE, f.norm_w, backend)
+    return _relation_failures(f.elements, f.elements, FRAME_TABLE, f.norm_w, backend)
 
 
 def format_frame_table(table) -> str:
@@ -275,12 +272,12 @@ class MembershipReport:
         }
 
 
-def _relation_failures(left, right, images, table, n, backend: Backend, rows=range(8)):
+def _relation_failures(left, images, table, n, backend: Backend, rows=range(8)):
     """The pairs (i, j), i in rows, where g(a_i) h(b_j) != h(a_i * b_j).
 
-    ``left[i]`` = g(a_i) and ``right[j]`` = h(b_j) are multiplied out; ``table``
-    gives a_i * b_j = sign * n**power * c_k and ``images[k]`` = h(c_k), so the
-    right side is read off.
+    a and b run over one basis, with ``table`` giving a_i * b_j =
+    sign * n**power * b_k.  ``left[i]`` = g(a_i) and ``images[j]`` = h(b_j)
+    are multiplied out; the right side is read off ``images[k]``.
     """
     scaled = (images, [v.scale(n) for v in images])
 
@@ -291,7 +288,7 @@ def _relation_failures(left, right, images, table, n, backend: Backend, rows=ran
         (i, j)
         for i in rows
         for j in range(8)
-        if not oct_eq(mul(left[i], right[j]), image(*table[i][j]), backend)
+        if not oct_eq(mul(left[i], images[j]), image(*table[i][j]), backend)
     )
 
 
@@ -303,19 +300,19 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
     and checks the relation g(ei) * g~(ej) = g~(ei*ej) on all 64 basis
     pairs (bilinearity extends the basis check to all octonion pairs).
 
-    When g~(e0) = 0 there is no candidate: the report is a non-member with a
-    zero candidate_g and no relation failures.
+    When |g~(e0)|^2 is zero for the backend (the test ``right_divide``
+    applies) there is no candidate: the report is a non-member with a zero
+    candidate_g and no relation failures.
     """
-    if is_zero(gt.column(0), backend):
-        zero = backend.from_fraction(Fraction(0))
-        return MembershipReport(Matrix8(((zero,) * 8,) * 8), (), False, False)
+    if backend.is_zero(norm_sq(gt.column(0))):
+        return MembershipReport(Matrix8(((0,) * 8,) * 8), (), False, False)
     g = project_double_cover(gt)
     fixes_e0 = oct_eq(g.column(0), Octonion.basis(0), backend)
     maps_im = all(backend.is_zero(g.rows[0][j]) for j in range(1, 8))
     in_so7 = fixes_e0 and maps_im and so_check(g, backend).passed
     g_cols, cols = ([m.column(j) for j in range(8)] for m in (g, gt))
     basis_table = [[(FANO_SIGN[i][j], FANO_INDEX[i][j], 0) for j in range(8)] for i in range(8)]
-    failures = _relation_failures(g_cols, cols, cols, basis_table, 1, backend)
+    failures = _relation_failures(g_cols, cols, basis_table, 1, backend)
     return MembershipReport(g, failures, in_so7, in_so7 and not failures)
 
 
@@ -348,12 +345,12 @@ def triality_check(
     e, n = frame.elements, frame.norm_w
     g = plane_rotation(p, double_angle(t), backend)
     psi = f7(p, t, e[4], backend)
-    psi_q = f7(p, CIRCLE_QUARTER.map_scalars(backend.from_fraction), e[4], backend)
+    psi_q = f7(p, CIRCLE_QUARTER, e[4], backend)
     g_images, psi_images, psi_q_images = ([apply(m, b) for b in e] for m in (g, psi, psi_q))
 
-    pair_failures = _relation_failures(g_images, psi_images, psi_images, FRAME_TABLE, n, backend)
+    pair_failures = _relation_failures(g_images, psi_images, FRAME_TABLE, n, backend)
     half_turn_failures = _relation_failures(
-        e, psi_q_images, psi_q_images, FRAME_TABLE, n, backend, rows=(0, 3, 4, 5, 6, 7)
+        e, psi_q_images, FRAME_TABLE, n, backend, rows=(0, 3, 4, 5, 6, 7)
     )
     closed_form = Octonion.basis(0).scale(-t.s) + e[3].scale(t.c)
     explicit_ok = oct_eq(mul(g_images[1], psi_images[2]), closed_form, backend) and oct_eq(
@@ -380,6 +377,6 @@ def spin8_map(
     Returns the rotation-product matrix together with the unit vector s,
     which passes through unchanged.
     """
-    if not backend.eq(norm_sq(s), backend.from_fraction(Fraction(1))):
+    if not backend.eq(norm_sq(s), 1):
         raise ValueError("s must be a unit vector")
     return f7xf5(p7, t, p5, t2, backend), s

@@ -114,6 +114,16 @@ _DEFECTS = {
         lambda original: lambda a, b: original(b, a),
         {"octonion.e3e2-equals-minus-e1", "spin7.f7-image", "spin7.minus-identity"},
     ),
+    "conj-negates-real-part": (
+        octonion.conj,
+        lambda original: lambda a: -a,
+        {"octonion.conjugation", "octonion.right-division"},
+    ),
+    "fano-line-listed-twice": (
+        octonion.FANO_CYCLES,
+        lambda original: tuple((1, 2, 3) if line == (7, 2, 5) else line for line in original),
+        {"octonion.fano-consistency"},
+    ),
     "relation-loop-finds-nothing": (
         spinmaps._relation_failures,
         lambda original: lambda *args, **kwargs: (),
