@@ -252,12 +252,7 @@ def test_verify_spin7_reports_invariant():
     assert reject.is_member == (reject.g_in_so7 and not reject.relation_failures)
 
 
-# 1e-5: every coordinate of g~(e0) exceeds epsilon but |g~(e0)|^2 = 8e-10 does
-# not, so right_divide would refuse it and there is no candidate to divide by.
-@pytest.mark.parametrize(
-    "backend, first", [(EXACT, 0), (FloatBackend(1e-9), 0), (FloatBackend(1e-9), 1e-5)]
-)
-def test_verify_spin7_zero_first_column_is_a_non_member(backend, first):
+def _assert_first_column_non_member(backend, first):
     m = plane_rotation(P12, T35)
     gt = Matrix8(tuple((first,) + row[1:] for row in m.rows)).map_scalars(backend.from_fraction)
     report = verify_spin7(gt, backend)
@@ -265,6 +260,17 @@ def test_verify_spin7_zero_first_column_is_a_non_member(backend, first):
     assert report.relation_failures == ()
     assert all(x == 0 for row in report.candidate_g.rows for x in row)
     assert report.to_dict(backend)["is_member"] is False
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)])
+def test_verify_spin7_zero_first_column_is_a_non_member(backend):
+    _assert_first_column_non_member(backend, 0)
+
+
+# Every coordinate of g~(e0) = 1e-5 exceeds epsilon but |g~(e0)|^2 = 8e-10 does
+# not, so right_divide would refuse it and there is no candidate to divide by.
+def test_verify_spin7_negligible_first_column_is_a_non_member():
+    _assert_first_column_non_member(FloatBackend(1e-9), 1e-5)
 
 
 def test_membership_report_serialization():
