@@ -9,13 +9,13 @@ coordinates are rare, equal-norm pairs are everywhere).
 Special-orthogonal matrices with exact rational entries come from the
 Cayley transform A -> (I - A)(I + A)^-1 of random antisymmetric rational
 matrices; their columns provide exactly orthonormal frames for the random
-plane generator; the solve behind it and the determinant share one elimination.
+plane generator; the solve behind it is fraction-free, on integer rows.
 
 ``compose``, ``apply`` and ``plane_rotation`` multiply and sum the numerators
-of ``scalar.cleared`` (ints over one denominator per operand on the exact
-backend, the floats themselves with scale 1.0 on floats) and divide each
-entry by the product of the scales once, so exact results are reduced
-Fractions computed without a gcd per operation and float bits are unchanged.
+of ``scalar.cleared`` (ints over one int scale per operand on the exact
+backend, the floats themselves with scale 1.0 on floats) and build each entry
+once by ``scalar.quotient`` over the product of the scales, so exact results
+are reduced Fractions and float bits are unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .octonion import Octonion, Vector8, inner, mul, norm_sq
-from .scalar import Backend, EXACT, Scalar, cleared, derived_rng
+from .scalar import Backend, EXACT, Scalar, cleared, derived_rng, quotient
 
 
 class PlaneError(ValueError):
@@ -106,9 +106,9 @@ def compose(a: Matrix8, b: Matrix8) -> Matrix8:
     brows, sb = _cleared_rows(b)
     scale = sa * sb
     cols = tuple(zip(*brows))
-    return Matrix8(
-        tuple(tuple(sum(map(operator.mul, row, col)) / scale for col in cols) for row in rows)
-    )
+    return Matrix8(tuple(
+        tuple(quotient(sum(map(operator.mul, row, col)), scale) for col in cols) for row in rows
+    ))
 
 
 def apply(a: Matrix8, z: Vector8) -> Vector8:
@@ -116,7 +116,7 @@ def apply(a: Matrix8, z: Vector8) -> Vector8:
     rows, sa = _cleared_rows(a)
     zn, sz = cleared(z.coords)
     scale = sa * sz
-    return Octonion(tuple(sum(map(operator.mul, row, zn)) / scale for row in rows))
+    return Octonion(tuple(quotient(sum(map(operator.mul, row, zn)), scale) for row in rows))
 
 
 def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
@@ -132,42 +132,29 @@ def max_abs_diff(a: Matrix8, b: Matrix8) -> Scalar:
     return max([0] + [abs(x - y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)])
 
 
-def _eliminate(rows):
-    """Forward elimination with partial pivoting of the leading square block.
-
-    Works in the entries' own scalars, with Python ints taken as Fractions so
-    division stays exact; columns right of the block are carried along.  Rows
-    already zero in the pivot column are skipped (I + A of a block-supported A
-    has identity rows).  Returns the rows and the permutation's sign, 0 if singular.
-    """
-    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    n = len(m)
-    sign = 1
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if not m[piv][k]:
-            return m, 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        top = m[k]
-        for row in m[k + 1:]:
-            if row[k]:
-                f = row[k] / top[k]
-                for j in range(k + 1, len(row)):
-                    row[j] -= f * top[j]
-    return m, sign
-
-
 def determinant(m: Matrix8) -> Scalar:
-    """Signed product of the pivots of ``_eliminate``, in the matrix's own scalars.
+    """Signed product of the pivots of elimination with partial pivoting.
 
-    Exact on Fractions and Python ints; on floats the largest pivot keeps the
+    Works in the matrix's own scalars, with Python ints taken as Fractions, so
+    it is exact on Fractions and ints; on floats the largest pivot keeps the
     rounding small.  A singular matrix gives a zero of the entries' type.
     """
-    rows, det = _eliminate(m.rows)
-    for k, row in enumerate(rows):
-        det *= row[k]
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in m.rows]
+    det = 1
+    for k in range(8):
+        piv = max(range(k, 8), key=lambda i: abs(rows[i][k]))
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        top = rows[k]
+        det *= top[k]
+        if not top[k]:
+            break
+        for row in rows[k + 1:]:
+            if row[k]:
+                f = row[k] / top[k]
+                for j in range(k + 1, 8):
+                    row[j] -= f * top[j]
     return det if det else abs(det)
 
 
@@ -195,7 +182,8 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     I + ((c-1)/N)(u u^T + v v^T) + (s/N)(v u^T - u v^T); it sends
     u -> c*u + s*v and v -> -s*u + c*v and is special orthogonal.  The
     entries are computed on the cleared numerators of the two coefficients
-    and of u and v together, each divided by the scales once.
+    and of u and v together, each built once by ``quotient`` (the identity
+    adds the scale to the diagonal numerators).
     """
     check_plane(p, backend)
     n = norm_sq(p.u)
@@ -207,10 +195,8 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     for i in range(8):
         row = []
         for j in range(8):
-            entry = (a * (u[i] * u[j] + v[i] * v[j]) + b * (v[i] * u[j] - u[i] * v[j])) / scale
-            if i == j:
-                entry = entry + 1
-            row.append(entry)
+            num = a * (u[i] * u[j] + v[i] * v[j]) + b * (v[i] * u[j] - u[i] * v[j])
+            row.append(quotient(num + scale if i == j else num, scale))
         rows.append(tuple(row))
     return Matrix8(tuple(rows))
 
@@ -223,20 +209,29 @@ def rotate_plane_basis(p: OrientedPlane, s) -> OrientedPlane:
 
 
 def solve_linear(a_rows: Sequence[Sequence[Scalar]], b_rows: Sequence[Sequence[Scalar]]):
-    """Solve A X = B by ``_eliminate`` on [A | B], then back substitution.
+    """Solve A X = B for rational A and B (Fractions or Python ints).
 
-    Exact over the rationals, Python ints included.  Raises ZeroDivisionError
-    when A is singular.
+    Fraction-free Gauss-Jordan elimination (Bareiss) on the rows of [A | B]
+    cleared to ints: pivot on the first nonzero entry, update every other row
+    as (p*x - f*y) // prev, which is exact.  A ends as the last pivot times I,
+    so X is B's block over it.  Raises ZeroDivisionError when A is singular.
     """
     n = len(a_rows)
-    m, sign = _eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)])
-    if not sign:
-        raise ZeroDivisionError("singular linear system")
-    x = [None] * n
-    for i in reversed(range(n)):
-        known = [(m[i][j], x[j]) for j in range(i + 1, n) if m[i][j]]
-        x[i] = [(c - sum(u * xj[k] for u, xj in known)) / m[i][i] for k, c in enumerate(m[i][n:])]
-    return x
+    m = [cleared(list(a) + list(b))[0] for a, b in zip(a_rows, b_rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular linear system")
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k][k + 1:]
+        p = m[k][k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    return [[Fraction(x, prev) for x in row[n:]] for row in m]
 
 
 def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:

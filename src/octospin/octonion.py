@@ -12,9 +12,10 @@ e4*e3 = -e7, under which the algebra is alternative and norm-multiplicative
 (the identity suites in :mod:`octospin.suites` re-check this on every run).
 
 ``mul`` and ``inner`` accumulate on the numerators of ``scalar.cleared``:
-Python ints over one shared denominator on the exact backend, the floats
+Python ints over one int denominator on the exact backend, the floats
 themselves (scale 1.0) on the float backend, in the same order either way;
-each result is divided by the scales once.
+each result is built once by ``scalar.quotient``.  The basis octonions and
+zero hold Python ints, which mix exactly with Fractions and floats alike.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .scalar import Backend, EXACT, Scalar, cleared, random_rational
+from .scalar import Backend, EXACT, Scalar, cleared, quotient, random_rational
 
 FANO_CYCLES: Tuple[Tuple[int, int, int], ...] = (
     (1, 2, 3),
@@ -71,12 +72,12 @@ class Octonion:
 
     @staticmethod
     def zero() -> "Octonion":
-        return Octonion((Fraction(0),) * 8)
+        return Octonion((0,) * 8)
 
     @staticmethod
     def basis(i: int) -> "Octonion":
-        coords = [Fraction(0)] * 8
-        coords[i] = Fraction(1)
+        coords = [0] * 8
+        coords[i] = 1
         return Octonion(tuple(coords))
 
     def __add__(self, other: "Octonion") -> "Octonion":
@@ -103,8 +104,8 @@ Vector8 = Octonion
 def mul(a: Octonion, b: Octonion) -> Octonion:
     """Octonion product, the bilinear extension of the basis table.
 
-    Accumulates on the cleared numerators of a and b and divides each
-    coordinate by the two scales once.
+    Accumulates on the cleared numerators of a and b and builds each
+    coordinate once, over the product of the two scales.
     """
     an, sa = cleared(a.coords)
     bn, sb = cleared(b.coords)
@@ -122,7 +123,7 @@ def mul(a: Octonion, b: Octonion) -> Octonion:
             else:
                 out[krow[j]] -= ai * bj
     scale = sa * sb
-    return Octonion(tuple(c / scale for c in out))
+    return Octonion(tuple(quotient(c, scale) for c in out))
 
 
 def conj(a: Octonion) -> Octonion:
@@ -134,7 +135,7 @@ def inner(a: Octonion, b: Octonion) -> Scalar:
     """Euclidean dot product of the coordinate vectors, on cleared numerators."""
     an, sa = cleared(a.coords)
     bn, sb = cleared(b.coords)
-    return sum(map(operator.mul, an, bn)) / (sa * sb)
+    return quotient(sum(map(operator.mul, an, bn)), sa * sb)
 
 
 def norm_sq(a: Octonion) -> Scalar:

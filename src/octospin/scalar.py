@@ -7,6 +7,9 @@ agreement within a hybrid relative/absolute tolerance.  All algebra in the
 other modules is generic over the scalar type; a computation stays inside
 whichever backend its inputs came from.
 
+The product kernels sum ``cleared`` numerators (ints over an int scale on
+exact operands) and build each result once with ``quotient``.
+
 Rotation angles are never stored as radians.  A rotation parameter is a
 point (c, s) on the unit circle, so identities involving cos and sin reduce
 to field arithmetic and can be checked exactly on the rational backend.
@@ -85,18 +88,23 @@ def cleared(values):
     """(numerators, scale) with ``values[i] == numerators[i] / scale``.
 
     Rationals and ints: Python-int numerators over the lcm of the
-    denominators, with that lcm as a ``Fraction`` scale, so a sum of numerator
-    products divided by a product of scales is a reduced Fraction, never a
-    float.  Any float among the values (float vectors may also hold Fraction
-    basis entries and int zeros): the values themselves and scale 1.0, so the
-    float operations are unchanged and the final division by 1.0 is exact.
-    The rationals of a float computation are integer-valued basis entries, so
-    an all-rational operand there has scale 1 and numerators equal to its values.
+    denominators, with that lcm as a plain int scale, so a sum of numerator
+    products over a product of scales goes to ``quotient`` as two ints.  Any
+    float among the values (float vectors may also hold int basis entries and
+    int zeros): the values themselves and scale 1.0, so the float operations
+    are unchanged and the final division by 1.0 is exact.  The rationals of a
+    float computation are integer-valued basis entries, so an all-rational
+    operand there has scale 1 and numerators equal to its values.
     """
     if type(values[0]) is float or float in map(type, values):
         return values, 1.0
     den = math.lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values], Fraction(den)
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def quotient(n, scale):
+    """n / scale as the reduced ``Fraction(n, scale)`` on an int scale, else ``n / scale``."""
+    return Fraction(n, scale) if type(scale) is int else n / scale
 
 
 def make_backend(name: str, epsilon: float = 1e-9) -> Backend:

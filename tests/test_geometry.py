@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from octospin.geometry import (
     PlaneError,
     SUBSPACE_COORDS,
     apply,
+    cayley_columns,
     cayley_orthogonal,
     check_plane,
     choose_w,
@@ -132,6 +134,60 @@ def test_solve_linear_singular():
     rows = [[F(1)] * 8 for _ in range(8)]
     with pytest.raises(ZeroDivisionError):
         solve_linear(rows, Matrix8.identity().rows)
+
+
+def ref_solve_linear(a_rows, b_rows):
+    """Forward elimination with partial pivoting in Fractions, then back
+    substitution: the solve that fraction-free elimination replaced."""
+    m = [[F(x) for x in list(a) + list(b)] for a, b in zip(a_rows, b_rows)]
+    n = len(m)
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[piv][k]:
+            raise ZeroDivisionError("singular linear system")
+        m[k], m[piv] = m[piv], m[k]
+        for row in m[k + 1:]:
+            if row[k]:
+                f = row[k] / m[k][k]
+                for j in range(k + 1, len(row)):
+                    row[j] -= f * m[k][j]
+    x = [None] * n
+    for i in reversed(range(n)):
+        known = [(m[i][j], x[j]) for j in range(i + 1, n) if m[i][j]]
+        x[i] = [(c - sum(u * xj[k] for u, xj in known)) / m[i][i] for k, c in enumerate(m[i][n:])]
+    return x
+
+
+@pytest.mark.parametrize("support", [SUBSPACE_COORDS["R7"], SUBSPACE_COORDS["R5"], range(8)])
+def test_solve_linear_and_cayley_columns_match_reference(support):
+    for k in range(100):
+        a = random_antisymmetric(derived_rng(9, "solve", len(support), k), support)
+        plus = [[int(i == j) + a.rows[i][j] for j in range(8)] for i in range(8)]
+        minus = [[int(i == j) - a.rows[i][j] for j in range(8)] for i in range(8)]
+        want = ref_solve_linear(plus, minus)
+        assert repr(solve_linear(plus, minus)) == repr(want)
+        cols = (support[0], support[1], 0)
+        got = cayley_columns(a, cols)
+        assert repr(got) == repr(tuple(Octonion(tuple(row[c] for row in want)) for c in cols))
+
+
+def test_solve_linear_matches_reference_with_row_swaps():
+    """Sparse int/Fraction systems, so zero pivots force row exchanges."""
+    rng = random.Random("solve|swaps")
+    entries = [0, 0, 0, 1, -2, 3, F(1, 2), F(-5, 3)]
+    solved = 0
+    while solved < 100:
+        n = rng.randint(1, 6)
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        b = [[rng.choice(entries) for _ in range(2)] for _ in range(n)]
+        try:
+            want = ref_solve_linear(a, b)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                solve_linear(a, b)
+            continue
+        assert repr(solve_linear(a, b)) == repr(want)
+        solved += 1
 
 
 def test_cayley_zero_is_identity():

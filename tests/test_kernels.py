@@ -1,10 +1,11 @@
 """The cleared-numerator kernels against the plain formulas they replace.
 
 ``compose``, ``apply``, ``mul``, ``inner`` and ``plane_rotation`` work on the
-integer numerators of ``scalar.cleared`` and divide by the scales once.  The
-references below are the direct Fraction/float formulas: on exact inputs the
-kernels must give the same values as reduced Fractions, and on float inputs
-(mixed with Fraction basis entries and int zeros) the same bits.
+integer numerators of ``scalar.cleared`` and build each entry once with
+``scalar.quotient``.  The references below are the direct Fraction/float
+formulas: on exact inputs the kernels must give the same values as reduced
+Fractions, and on float inputs (mixed with int basis entries, Fractions and
+int zeros) the same bits.
 """
 
 import math
@@ -16,7 +17,14 @@ import pytest
 from octospin import octonion
 from octospin.geometry import Matrix8, OrientedPlane, apply, compose, plane_rotation
 from octospin.octonion import Octonion, inner, mul, norm_sq, right_divide
-from octospin.scalar import EXACT, CirclePoint, FloatBackend, circle_from_parameter, cleared
+from octospin.scalar import (
+    EXACT,
+    CirclePoint,
+    FloatBackend,
+    circle_from_parameter,
+    cleared,
+    quotient,
+)
 from octospin.spinmaps import f7, project_double_cover
 
 FLOAT = FloatBackend(1e-9)
@@ -185,8 +193,8 @@ def _assert_same_bits(got, want):
 
 
 def _float_cases(rng):
-    """Pure float operands, then operands mixing float with Fraction basis
-    entries and int zeros."""
+    """Pure float operands, then operands mixing float with int basis
+    entries, Fraction entries and int zeros."""
     for _ in range(20):
         yield _float_matrix(rng), _float_matrix(rng), _float_octonion(rng), _float_octonion(rng)
     t = circle_from_parameter(F(3, 7)).map_scalars(float)
@@ -197,6 +205,8 @@ def _float_cases(rng):
     yield g, g.transpose(), e0, _float_octonion(rng)
     yield g.transpose(), g, with_int_zeros, e0
     yield Matrix8.identity(), g, _float_octonion(rng), with_int_zeros
+    with_fractions = Octonion((F(1), 0.25, F(0), -0.0, F(-2), 1e-7, 0, 0.5))
+    yield g, Matrix8.identity().map_scalars(F), with_fractions, e0
 
 
 def test_float_kernels_are_bit_identical_to_plain_formulas():
@@ -237,13 +247,46 @@ def test_float_kernels_keep_signed_zeros():
 
 def test_cleared_representations():
     nums, scale = cleared([F(1, 6), 2, F(-3, 4)])
-    assert (nums, scale) == ([2, 24, -9], F(12)) and type(scale) is F
+    assert (nums, scale) == ([2, 24, -9], 12) and type(scale) is int
     assert all(type(n) is int for n in nums)
-    assert cleared([0, 5]) == ([0, 5], F(1))
+    assert cleared([0, 5]) == ([0, 5], 1) and type(cleared([0, 5])[1]) is int
     floats = [0.5, F(1), 0, -0.0]
     assert cleared(floats) == (floats, 1.0) and cleared(floats)[0] is floats
     mixed = (F(1), 0, 2.5)
     assert cleared(mixed)[0] is mixed
+
+
+def test_quotient_int_scale_gives_reduced_fractions():
+    for n, scale, want in ((6, 4, F(3, 2)), (0, 7, F(0)), (-9, 12, F(-3, 4)), (5, 1, F(5))):
+        got = quotient(n, scale)
+        assert got == want and type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_quotient_float_scale_is_true_division():
+    rng = random.Random("quotient|float")
+    for n in [0.0, -0.0, 3, 7.5] + [_float(rng) for _ in range(50)]:
+        for scale in (1.0, 2.0, 0.3):
+            got = quotient(n, scale)
+            assert type(got) is float and float.hex(got) == float.hex(n / scale)
+
+
+def test_exact_kernel_outputs_are_fractions_never_floats():
+    """An ``int / int`` slip would turn exact results into floats silently."""
+    rng = random.Random("kernels|types")
+    e = [Octonion.basis(i) for i in range(8)]
+    ident = Matrix8.identity()
+    int_matrix = Matrix8(tuple(tuple(i - j for j in range(8)) for i in range(8)))
+    matrices = [ident, int_matrix, _exact_matrix(rng, 16)]
+    octonions = e + [Octonion.zero(), Octonion(tuple(range(8))), _exact_octonion(rng, 16)]
+    outputs = [compose(a, b) for a in matrices for b in matrices]
+    outputs += [apply(a, x) for a in matrices for x in octonions]
+    outputs += [mul(x, y) for x in octonions for y in octonions]
+    outputs += [inner(x, y) for x in octonions for y in octonions]
+    planes = [OrientedPlane(e[1], e[2]), OrientedPlane(e[0], e[7]), _exact_plane(rng, 16)]
+    angles = [CirclePoint(0, 1), CirclePoint(1, 0), circle_from_parameter(F(2, 7))]
+    outputs += [plane_rotation(p, t) for p in planes for t in angles]
+    assert all(type(x) is F for out in outputs for x in _entries(out))
 
 
 def test_right_divide_honours_the_float_tolerance():
