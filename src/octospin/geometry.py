@@ -48,8 +48,11 @@ class OrientedPlane:
         return OrientedPlane(self.u.map_scalars(fn), self.v.map_scalars(fn))
 
 
-def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> None:
-    """Raise PlaneError unless u ⟂ v and |u|^2 = |v|^2 != 0."""
+def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> Scalar:
+    """The common squared norm N = |u|^2 of the spanning pair.
+
+    Raises PlaneError unless u ⟂ v and |u|^2 = |v|^2 != 0.
+    """
     n = norm_sq(p.u)
     if backend.is_zero(n):
         raise PlaneError("plane spanning pair must be nonzero")
@@ -57,6 +60,7 @@ def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> None:
         raise PlaneError("plane spanning pair must have equal norms")
     if not backend.is_zero(inner(p.u, p.v)):
         raise PlaneError("plane spanning pair must be orthogonal")
+    return n
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,7 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     and of u and v together, each built once by ``quotient`` (the identity
     adds the scale to the diagonal numerators).
     """
-    check_plane(p, backend)
-    n = norm_sq(p.u)
+    n = check_plane(p, backend)
     (a, b), sab = cleared([(t.c - 1) / n, t.s / n])
     uv, suv = cleared(p.u.coords + p.v.coords)
     u, v = uv[:8], uv[8:]

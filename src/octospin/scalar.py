@@ -29,9 +29,6 @@ Scalar = Union[int, Fraction, float]
 class ExactBackend:
     """Arbitrary-precision rationals; equality and zero tests are exact."""
 
-    name = "exact"
-    epsilon = None
-
     def from_fraction(self, q: Fraction) -> Fraction:
         return q
 
@@ -51,8 +48,6 @@ class ExactBackend:
 
 class FloatBackend:
     """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|)."""
-
-    name = "float"
 
     def __init__(self, epsilon: float = 1e-9):
         epsilon = float(epsilon)

@@ -25,6 +25,7 @@ g~ -> g is the double covering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple
 
 from .geometry import (
@@ -81,13 +82,14 @@ def basis_b(
     w defaults to ``choose_w(p)``, chosen after the plane passes
     ``check_plane`` (which raises PlaneError first).  Raises FrameError when
     the inputs violate their contracts or when any of the 28 pairwise inner
-    products fails to vanish.
+    products fails to vanish; those and the eight norms are read off one Gram
+    matrix E E^T, E having the frame elements as rows.
     """
-    check_plane(p, backend)
+    n = check_plane(p, backend)
     if w is None:
         w = choose_w(p, backend)
     x, y = p.u, p.v
-    if not backend.eq(norm_sq(x), 1):
+    if not backend.eq(n, 1):
         raise FrameError("plane spanning pair must be unit")
     if not (is_imaginary(x, backend) and is_imaginary(y, backend)):
         raise FrameError("plane must be purely imaginary")
@@ -110,16 +112,17 @@ def basis_b(
         mul(w, y),
         mul(w, xy),
     )
+    e = Matrix8(tuple(el.coords for el in elements))
+    gram = compose(e, e.transpose()).rows
     for i in range(8):
         for j in range(i + 1, 8):
-            if not backend.is_zero(inner(elements[i], elements[j])):
+            if not backend.is_zero(gram[i][j]):
                 raise FrameError(
                     f"frame elements {FRAME_NAMES[i]} and {FRAME_NAMES[j]} "
                     "are not orthogonal"
                 )
-    for i, el in enumerate(elements):
-        expected = 1 if i < 4 else nw
-        if not backend.eq(norm_sq(el), expected):
+    for i in range(8):
+        if not backend.eq(gram[i][i], 1 if i < 4 else nw):
             raise FrameError(f"frame element {FRAME_NAMES[i]} has the wrong norm")
     return FrameB(elements, nw)
 
@@ -171,13 +174,11 @@ def format_frame_table(table) -> str:
 
 
 def f7_factors(
-    p: OrientedPlane,
-    t: CirclePoint,
-    w: Optional[Vector8] = None,
-    backend: Backend = EXACT,
+    frame: FrameB, t: CirclePoint, backend: Backend = EXACT
 ) -> Tuple[Matrix8, Matrix8, Matrix8, Matrix8]:
-    """The four commuting plane rotations whose product is the Spin(7) map."""
-    frame = basis_b(p, w, backend)
+    """The four commuting plane rotations at angle t whose product is the
+    Spin(7) map, through the planes [x, y], [e0, xy], [w, w(xy)], [wx, wy]
+    of a frame that ``basis_b`` built and validated."""
     e0, x, y, xy, wv, wx, wy, wxy = frame.elements
     planes = (
         OrientedPlane(x, y),
@@ -199,8 +200,7 @@ def f7(
     The result does not depend on the admissible w (nor on the spanning
     pair chosen for the plane); w defaults as in ``basis_b``.
     """
-    r1, r2, r3, r4 = f7_factors(p, t, w, backend)
-    return compose(compose(compose(r1, r2), r3), r4)
+    return reduce(compose, f7_factors(basis_b(p, w, backend), t, backend))
 
 
 def f5(p: OrientedPlane, t: CirclePoint, backend: Backend = EXACT) -> Matrix8:
@@ -344,8 +344,7 @@ def triality_check(
     frame = basis_b(p, w, backend)
     e, n = frame.elements, frame.norm_w
     g = plane_rotation(p, double_angle(t), backend)
-    psi = f7(p, t, e[4], backend)
-    psi_q = f7(p, CIRCLE_QUARTER, e[4], backend)
+    psi, psi_q = (reduce(compose, f7_factors(frame, s, backend)) for s in (t, CIRCLE_QUARTER))
     g_images, psi_images, psi_q_images = ([apply(m, b) for b in e] for m in (g, psi, psi_q))
 
     pair_failures = _relation_failures(g_images, psi_images, FRAME_TABLE, n, backend)

@@ -3,12 +3,15 @@
 Every claim of the report is data in one table, ``CLAIMS``: per suite, a
 sequence of entries, each holding the claim ids and statements it decides,
 a generator of the exact inputs of its instances per (seed, trials), and a
-check.  One runner turns an entry into ``ClaimResult``s: it converts the
+check.  One runner turns an entry into report records: it converts the
 exact inputs to the backend, runs the check on each instance, counts the
 instances, records an error the check raises as a failure of that
-instance, describes failures and truncates them.  All randomness derives
-from (seed, suite, claim) streams, so a report is a pure function of its
-configuration and two runs with the same config are byte-identical.
+instance, describes failures and truncates them.  The records are the
+report's claim dicts: the suite callables return them and
+``run_verify_suite`` puts them into the report as they are.  All
+randomness derives from (seed, suite, claim) streams, so a report is a pure
+function of its configuration and two runs with the same config are
+byte-identical.
 
 Instances are always generated in exact rational arithmetic; the float
 backend receives the same instances converted to floats, which keeps the
@@ -92,32 +95,6 @@ class RunConfig:
     trials: int = 100
 
 
-@dataclass
-class ClaimResult:
-    """Outcome of one verified claim."""
-
-    claim: str
-    statement: str
-    instances: int
-    failure_count: int
-    failures: list
-    passed: bool
-    details: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "claim": self.claim,
-            "statement": self.statement,
-            "instances": self.instances,
-            "failure_count": self.failure_count,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-        if self.details is not None:
-            out["details"] = self.details
-        return out
-
-
 @dataclass(frozen=True)
 class Claim:
     """One table entry: the claims that one check decides per instance.
@@ -171,8 +148,8 @@ def _describe(x, backend: Backend):
     return x
 
 
-def _run(entry: Claim, backend: Backend, seed: int, trials: int) -> List[ClaimResult]:
-    """Check every instance of one table entry and build its ClaimResults.
+def _run(entry: Claim, backend: Backend, seed: int, trials: int) -> List[dict]:
+    """Check every instance of one table entry and build its report records.
 
     A ValueError or ArithmeticError raised by the check becomes a failure
     record of that instance for each claim of the entry; errors raised while
@@ -200,15 +177,15 @@ def _run(entry: Claim, backend: Backend, seed: int, trials: int) -> List[ClaimRe
                 if verdict is not None:
                     tallies[cid].failures.append(_describe(verdict, backend))
     return [
-        ClaimResult(
-            claim=cid,
-            statement=entry.statements[cid],
-            instances=tally.instances,
-            failure_count=len(tally.failures),
-            failures=tally.failures[:MAX_REPORTED_FAILURES],
-            passed=not tally.failures,
-            details=tally.details,
-        )
+        {
+            "claim": cid,
+            "statement": entry.statements[cid],
+            "instances": tally.instances,
+            "failure_count": len(tally.failures),
+            "failures": tally.failures[:MAX_REPORTED_FAILURES],
+            "passed": not tally.failures,
+            **({} if tally.details is None else {"details": tally.details}),
+        }
         for cid, tally in tallies.items()
     ]
 
@@ -514,11 +491,11 @@ def _w_expansion(which):
 
 
 def _tail_pair_action(b, p, t, coeffs):
-    frame = basis_b(p, backend=b).elements
-    w2 = _combination(coeffs, frame[4:])
-    _, _, r3, r4 = f7_factors(p, t, frame[4], b)
+    frame = basis_b(p, backend=b)
+    w2 = _combination(coeffs, frame.elements[4:])
+    _, _, r3, r4 = f7_factors(frame, t, b)
     lhs = apply(compose(r3, r4), w2)
-    rhs = w2.scale(t.c) + mul(w2, frame[3]).scale(t.s)
+    rhs = w2.scale(t.c) + mul(w2, frame.elements[3]).scale(t.s)
     return None if oct_eq(lhs, rhs, b) else {"plane": p, "t": t}
 
 
@@ -569,7 +546,7 @@ def _triality(b, p, t, k):
 
 
 def _factors_commute(b, p, t, k):
-    factors = f7_factors(p, t, None, b)
+    factors = f7_factors(basis_b(p, backend=b), t, b)
     for i in range(4):
         for j in range(i + 1, 4):
             if not mat_eq(compose(factors[i], factors[j]), compose(factors[j], factors[i]), b):
@@ -782,8 +759,8 @@ SUITE_NAMES = tuple(CLAIMS)
 
 
 def _suite(name: str) -> Callable:
-    def run(backend: Backend, seed: int, trials: int) -> List[ClaimResult]:
-        """The ClaimResults of one suite's table entries, in report order."""
+    def run(backend: Backend, seed: int, trials: int) -> List[dict]:
+        """The report records of one suite's table entries, in report order."""
         return [result for entry in CLAIMS[name] for result in _run(entry, backend, seed, trials)]
 
     run.__name__ = run.__qualname__ = "suite_" + name.replace("-", "_")
@@ -821,9 +798,8 @@ def run_verify_suite(config: RunConfig, suite_names=None):
     for name in SUITE_NAMES:
         if name not in suite_names:
             continue
-        claims = SUITES[name](backend, config.seed, config.trials)
-        results[name] = [c.to_dict() for c in claims]
-        all_passed = all_passed and all(c.passed for c in claims)
+        results[name] = SUITES[name](backend, config.seed, config.trials)
+        all_passed = all_passed and all(c["passed"] for c in results[name])
     report = {
         "config": {
             "backend": config.backend,

@@ -166,7 +166,7 @@ def test_f7_outputs_are_special_orthogonal():
 
 def test_f7_factors_commute():
     p, t = rand_inputs(2)
-    factors = f7_factors(p, t)
+    factors = f7_factors(basis_b(p), t)
     for i in range(4):
         for j in range(i + 1, 4):
             assert mat_eq(compose(factors[i], factors[j]), compose(factors[j], factors[i]))

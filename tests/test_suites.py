@@ -9,8 +9,9 @@ import pytest
 
 from octospin import geometry, octonion, scalar, spinmaps, suites
 from octospin.cli import main as cli_main
-from octospin.octonion import Octonion
-from octospin.scalar import FloatBackend
+from octospin.geometry import Matrix8, OrientedPlane
+from octospin.octonion import Octonion, norm_sq
+from octospin.scalar import CirclePoint, FloatBackend
 from octospin.suites import SUITE_NAMES, RunConfig, render_report, run_verify_suite
 
 ALL_BUT_ROTATION = [s for s in SUITE_NAMES if s != "rotation-laws"]
@@ -79,8 +80,24 @@ def test_spin8_compares_s_by_value(monkeypatch, sign, passed):
 
     monkeypatch.setattr(suites, "spin8_map", copying_spin8_map)
     claims = suites.suite_spin7_membership(FloatBackend(1e-9), 42, 2)
-    claim = next(c for c in claims if c.claim == "spin8.product-coordinates")
-    assert claim.passed is passed
+    claim = next(c for c in claims if c["claim"] == "spin8.product-coordinates")
+    assert claim["passed"] is passed
+
+
+def _identity_plus(m, k):
+    """I + k (M - I)."""
+    return Matrix8(tuple(
+        tuple(int(i == j) + k * (x - int(i == j)) for j, x in enumerate(row))
+        for i, row in enumerate(m.rows)
+    ))
+
+
+def _swapped(p):
+    return OrientedPlane(p.v, p.u)
+
+
+def _first_row_doubled(rows):
+    return [[2 * x for x in rows[0]]] + rows[1:]
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -97,7 +114,8 @@ _DEFECTS = {
         scalar.double_angle,
         lambda original: lambda p: p,
         {"cover.projects-to-doubled-rotation", "square.pointwise", "square.angle-doubling",
-         "degree.double-angle", "triality.sixty-four-pairs"},
+         "degree.double-angle", "degree.composition", "degree.ledger",
+         "triality.sixty-four-pairs"},
     ),
     "plane-rotation-transposed": (
         geometry.plane_rotation,
@@ -107,12 +125,13 @@ _DEFECTS = {
     "projection-negated": (
         spinmaps.project_double_cover,
         lambda original: lambda gt: -original(gt),
-        {"spin7.f7-image", "cover.center", "square.pointwise"},
+        {"spin7.f7-image", "cover.center", "cover.homomorphism", "square.pointwise"},
     ),
     "mul-opposite-algebra": (
         octonion.mul,
         lambda original: lambda a, b: original(b, a),
-        {"octonion.e3e2-equals-minus-e1", "spin7.f7-image", "spin7.minus-identity"},
+        {"octonion.e3e2-equals-minus-e1", "spin7.f7-image", "spin7.f5-image",
+         "spin7.product-image", "spin7.minus-identity", "spin8.product-coordinates"},
     ),
     "conj-negates-real-part": (
         octonion.conj,
@@ -129,6 +148,46 @@ _DEFECTS = {
         lambda original: lambda *args, **kwargs: (),
         {"spin7.single-rotation-rejected"},
     ),
+    "rotation-ignores-sine-sign": (
+        geometry.plane_rotation,
+        lambda original: lambda p, t, *rest: original(p, CirclePoint(t.c, abs(t.s)), *rest),
+        {"rotation.one-parameter", "rotation.orientation-reversal"},
+    ),
+    "rotation-entries-doubled": (
+        geometry.plane_rotation,
+        lambda original: lambda *args: original(*args).map_scalars(lambda x: 2 * x),
+        {"rotation.fixes-complement", "rotation.one-parameter", "rotation.special-orthogonal"},
+    ),
+    "rotation-divides-by-n-squared": (
+        geometry.plane_rotation,
+        lambda original: lambda p, *rest: _identity_plus(original(p, *rest), 1 / norm_sq(p.u)),
+        {"rotation.scaling-invariance", "f7.w-choice-invariance", "triality.quarter-turn"},
+    ),
+    "basis-rotation-swaps-pair": (
+        geometry.rotate_plane_basis,
+        lambda original: lambda *args: _swapped(original(*args)),
+        {"rotation.basis-invariance", "f7.plane-basis-invariance"},
+    ),
+    "solve-doubles-first-row": (
+        geometry.solve_linear,
+        lambda original: lambda *args: _first_row_doubled(original(*args)),
+        {"geometry.cayley-special-orthogonal"},
+    ),
+    "fano-sign-symmetric-pair": (
+        octonion.FANO_SIGN,
+        lambda original: tuple(
+            tuple(-x if (i, j) == (2, 1) else x for j, x in enumerate(row))
+            for i, row in enumerate(original)
+        ),
+        # The frame entries and the degree ledger fail by the FrameError
+        # that basis_b raises on the broken algebra.
+        {"octonion.anticommute-orthogonal", "octonion.alternative",
+         "octonion.moufang-bimultiplication", "octonion.moufang-left", "octonion.moufang-right",
+         "octonion.norm-multiplicative", "octonion.orthogonal-anti-associative",
+         "octonion.unit-triple-cycle", "frame.orthogonal-basis", "f7.w-expansion-x",
+         "f7.w-expansion-y", "f7.w-expansion-xy", "f7.factors-commute",
+         "degree.identity-map", "degree.constant-map", "degree.sample-stability"},
+    ),
 }
 
 
@@ -142,6 +201,14 @@ def test_defect_turns_named_claims_red(monkeypatch, defect):
     red = {c["claim"] for claims in report["results"].values() for c in claims if not c["passed"]}
     assert code == 1
     assert expected_red <= red
+
+
+def test_every_claim_has_a_defect_that_turns_it_red():
+    code, report = run_verify_suite(RunConfig(backend="exact", seed=42, trials=1))
+
+    claims = {c["claim"] for results in report["results"].values() for c in results}
+    assert code == 0
+    assert claims <= set().union(*(red for _, _, red in _DEFECTS.values()))
 
 
 def test_frame_table_flip_fails_by_value(monkeypatch):
