@@ -291,6 +291,14 @@ def random_orthonormal_pair(seed: int, restrict_to: str = "R7", index=0) -> Orie
     return OrientedPlane(x, y)
 
 
+def project_out(a: Vector8, span: Sequence[Vector8]) -> Vector8:
+    """Gram-Schmidt step: a minus its projection onto each nonzero b of
+    ``span`` in turn, which leaves a orthogonal to an orthogonal span."""
+    for b in span:
+        a = a - b.scale(inner(a, b) / norm_sq(b))
+    return a
+
+
 def choose_w(p: OrientedPlane, backend: Backend = EXACT) -> Vector8:
     """Deterministic vector orthogonal to span{e0, x, y, xy}.
 
@@ -301,10 +309,7 @@ def choose_w(p: OrientedPlane, backend: Backend = EXACT) -> Vector8:
     x, y = p.u, p.v
     span = [Octonion.basis(0), x, y, mul(x, y)]
     for i in range(1, 8):
-        w = Octonion.basis(i)
-        for b in span:
-            coef = inner(w, b) / norm_sq(b)
-            w = w - b.scale(coef)
+        w = project_out(Octonion.basis(i), span)
         if not backend.is_zero(norm_sq(w)):
             return w
     raise PlaneError("no vector orthogonal to span{e0, x, y, xy} found")

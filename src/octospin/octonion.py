@@ -159,11 +159,6 @@ def oct_eq(a: Octonion, b: Octonion, backend: Backend = EXACT) -> bool:
     return all(backend.eq(x, y) for x, y in zip(a.coords, b.coords))
 
 
-def is_imaginary(a: Octonion, backend: Backend = EXACT) -> bool:
-    """True when the e0 coordinate vanishes."""
-    return backend.is_zero(a.coords[0])
-
-
 def random_octonion(rng: random.Random, imaginary: bool = False) -> Octonion:
     """Random rational octonion with coordinates p/q, p in [-20, 20], q in [1, 10]."""
     coords = [random_rational(rng) for _ in range(8)]

@@ -59,7 +59,10 @@ class FloatBackend:
         return float(q)
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
-        return abs(a - b) <= self.epsilon * max(1.0, abs(a), abs(b))
+        """Within the tolerance; never when |a - b| is infinite or NaN, as an
+        infinite operand would make the tolerance infinite too."""
+        d = abs(a - b)
+        return d < math.inf and d <= self.epsilon * max(1.0, abs(a), abs(b))
 
     def is_zero(self, a: Scalar) -> bool:
         return abs(a) <= self.epsilon
@@ -130,7 +133,6 @@ class CirclePoint:
         return CirclePoint(fn(self.c), fn(self.s))
 
 
-CIRCLE_IDENTITY = CirclePoint(Fraction(1), Fraction(0))
 CIRCLE_QUARTER = CirclePoint(Fraction(0), Fraction(1))
 CIRCLE_HALF = CirclePoint(Fraction(-1), Fraction(0))
 
@@ -158,10 +160,6 @@ def angle_sum(p: CirclePoint, q: CirclePoint) -> CirclePoint:
 
 def on_circle(p: CirclePoint, backend: Backend = EXACT) -> bool:
     return backend.eq(p.c * p.c + p.s * p.s, 1)
-
-
-def circle_eq(p: CirclePoint, q: CirclePoint, backend: Backend = EXACT) -> bool:
-    return backend.eq(p.c, q.c) and backend.eq(p.s, q.s)
 
 
 def parse_circle_point(text: str, backend: Backend = EXACT) -> CirclePoint:

@@ -36,6 +36,7 @@ from .geometry import (
     compose,
     mat_eq,
     plane_rotation,
+    project_out,
     random_antisymmetric,
     random_orthonormal_pair,
     rotate_plane_basis,
@@ -47,7 +48,6 @@ from .octonion import (
     FANO_SIGN,
     Octonion,
     conj,
-    inner,
     mul,
     norm_sq,
     oct_eq,
@@ -237,9 +237,7 @@ def _random_angle(rng) -> CirclePoint:
 def _orthogonal_to(rng, others) -> Octonion:
     """Random nonzero imaginary octonion orthogonal to the given vectors."""
     while True:
-        a = random_octonion(rng, imaginary=True)
-        for b in others:
-            a = a - b.scale(inner(a, b) / norm_sq(b))
+        a = project_out(random_octonion(rng, imaginary=True), others)
         if norm_sq(a) != 0:
             return a
 
@@ -793,6 +791,8 @@ def run_verify_suite(config: RunConfig, suite_names=None):
     unknown = [s for s in suite_names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
+    if not suite_names:
+        raise ValueError("no suites selected")
     results = {}
     all_passed = True
     for name in SUITE_NAMES:

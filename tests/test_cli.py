@@ -38,9 +38,13 @@ def test_verify_rejects_zero_trials(tmp_path):
     assert code == 2
 
 
-def test_verify_rejects_unknown_suite(tmp_path):
+def test_verify_rejects_unknown_suite(tmp_path, capsys):
     code = run(["verify", "--suites", "nonsense", "--out", str(tmp_path / "r.json")])
     assert code == 2
+    code = run(["verify", "--suites", ",", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "no suites selected" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_rejects_bad_epsilon(tmp_path):
@@ -162,6 +166,13 @@ def test_eval_rejects_malformed_plane():
 
 def test_eval_rejects_off_circle_angle():
     assert run(["eval", "f7", "--plane", "e1,e2", "--angle", "1,1"]) == 2
+    for angle in ("inf,0", "1e200,0"):
+        assert run(["eval", "f7", "--plane", "e1,e2", "--angle", angle,
+                    "--backend", "float"]) == 2
+    huge = ",".join(["1e200"] + ["0"] * 7)
+    assert run(["eval", "spin8", "--plane", "e1,e2", "--angle", "1,0",
+                "--plane2", "e1,e2", "--angle2", "1,0", "--s-vector", huge,
+                "--backend", "float"]) == 2
 
 
 def test_eval_rejects_bad_plane_geometry():

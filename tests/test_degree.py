@@ -16,7 +16,6 @@ from octospin.geometry import OrientedPlane, mat_eq, plane_rotation
 from octospin.octonion import Octonion
 from octospin.scalar import (
     CIRCLE_HALF,
-    CIRCLE_IDENTITY,
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
@@ -27,6 +26,7 @@ from octospin.scalar import (
 from octospin.spinmaps import f7xf5, h70, project_double_cover
 
 E = [Octonion.basis(i) for i in range(8)]
+ONE = CirclePoint(F(1), F(0))
 
 
 def test_circle_samples_exact_and_ordered():
@@ -47,7 +47,7 @@ def test_winding_double_angle():
 
 
 def test_winding_constant():
-    one = CIRCLE_IDENTITY
+    one = ONE
     assert winding_degree(lambda p: one, 256) == 0
 
 
@@ -75,7 +75,7 @@ def test_winding_float_backend():
     fb = FloatBackend()
     assert winding_degree(double_angle, 256, fb) == 2
     assert winding_degree(lambda p: p.inverse(), 256, fb) == -1
-    one = CIRCLE_IDENTITY.map_scalars(float)
+    one = ONE.map_scalars(float)
     assert winding_degree(lambda p: one, 256, fb) == 0
     assert winding_degree(lambda p: double_angle(double_angle(p)), 256, fb) == 4
 
@@ -84,7 +84,7 @@ def test_winding_float_backend():
 def test_winding_antipodal_error(backend):
     lookup = {}
     for k, p in enumerate(circle_samples(8)):
-        target = CIRCLE_IDENTITY if k % 2 == 0 else CIRCLE_HALF
+        target = ONE if k % 2 == 0 else CIRCLE_HALF
         p = p.map_scalars(backend.from_fraction)
         lookup[(p.c, p.s)] = target.map_scalars(backend.from_fraction)
 
@@ -104,8 +104,8 @@ def test_square_single_explicit_instance():
     # both composites collapse to the half-turn rotation of [e1, e2]
     p7 = OrientedPlane(E[1], E[2])
     p5 = OrientedPlane(E[1], E[2])
-    lhs = project_double_cover(f7xf5(p7, CIRCLE_QUARTER, p5, CIRCLE_IDENTITY))
-    rhs = h70(p7, CIRCLE_HALF, p5, CIRCLE_IDENTITY)
+    lhs = project_double_cover(f7xf5(p7, CIRCLE_QUARTER, p5, ONE))
+    rhs = h70(p7, CIRCLE_HALF, p5, ONE)
     expected = plane_rotation(p7, CIRCLE_HALF)
     assert mat_eq(lhs, expected)
     assert mat_eq(rhs, expected)

@@ -11,7 +11,6 @@ from octospin.octonion import (
     Octonion,
     conj,
     inner,
-    is_imaginary,
     mul,
     norm_sq,
     oct_eq,
@@ -131,8 +130,14 @@ def test_moufang_property(x, y, z):
 
 
 def test_imaginary_predicate():
-    assert is_imaginary(E[4])
-    assert not is_imaginary(E[0] + E[4])
+    # a is purely imaginary exactly when a*a = -|a|^2 e0.
+    def squares_to_minus_norm(a):
+        return mul(a, a) == E[0].scale(-norm_sq(a))
+
+    assert squares_to_minus_norm(E[4])
+    assert squares_to_minus_norm(E[1] - E[4].scale(F(2, 3)))
+    assert not squares_to_minus_norm(E[0] + E[4])
+    assert not squares_to_minus_norm(E[0])
 
 
 def test_serialize_round_trip():

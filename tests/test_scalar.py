@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from octospin.scalar import (
     CIRCLE_HALF,
-    CIRCLE_IDENTITY,
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
     FloatBackend,
     angle_sum,
-    circle_eq,
     circle_from_parameter,
     derived_rng,
     double_angle,
@@ -22,6 +20,7 @@ from octospin.scalar import (
     random_rational,
 )
 
+ONE = CirclePoint(F(1), F(0))
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
@@ -32,16 +31,16 @@ def test_circle_from_parameter_examples():
 
 
 def test_double_angle_examples():
-    assert double_angle(CIRCLE_IDENTITY) == CIRCLE_IDENTITY
+    assert double_angle(ONE) == ONE
     assert double_angle(CIRCLE_QUARTER) == CIRCLE_HALF
     assert double_angle(CirclePoint(F(3, 5), F(4, 5))) == CirclePoint(F(-7, 25), F(24, 25))
 
 
 def test_angle_sum_examples():
     q = CirclePoint(F(3, 5), F(4, 5))
-    assert angle_sum(CIRCLE_IDENTITY, q) == q
+    assert angle_sum(ONE, q) == q
     assert angle_sum(CIRCLE_QUARTER, CIRCLE_QUARTER) == CIRCLE_HALF
-    assert angle_sum(q, q.inverse()) == CIRCLE_IDENTITY
+    assert angle_sum(q, q.inverse()) == ONE
 
 
 @given(rationals)
@@ -60,7 +59,7 @@ def test_angle_sum_group_laws(a, b, c):
     p, q, r = (circle_from_parameter(x) for x in (a, b, c))
     assert angle_sum(p, q) == angle_sum(q, p)
     assert angle_sum(angle_sum(p, q), r) == angle_sum(p, angle_sum(q, r))
-    assert angle_sum(p, p.inverse()) == CIRCLE_IDENTITY
+    assert angle_sum(p, p.inverse()) == ONE
 
 
 def test_circle_from_parameter_seeded_sweep():
@@ -77,6 +76,11 @@ def test_float_backend_equality():
     assert fb.eq(1e6, 1e6 + 1e-4)  # relative tolerance at large scale
     assert fb.is_zero(1e-10)
     assert not fb.is_zero(1e-6)
+    # An infinite operand would make the tolerance infinite too.
+    inf = float("inf")
+    assert not fb.eq(inf, 1.0)
+    assert not fb.eq(1.0, -inf)
+    assert not fb.eq(inf, inf)
 
 
 def test_float_backend_rejects_bad_epsilon():
@@ -122,7 +126,7 @@ def test_parse_circle_point():
 def test_float_parse_circle_point():
     fb = FloatBackend()
     p = parse_circle_point("0.6,0.8", fb)
-    assert circle_eq(p, CirclePoint(0.6, 0.8), fb)
+    assert fb.eq(p.c, 0.6) and fb.eq(p.s, 0.8)
 
 
 def test_derived_rng_is_stable_and_independent():

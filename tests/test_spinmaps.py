@@ -17,7 +17,6 @@ from octospin.geometry import (
 from octospin.octonion import Octonion, mul, norm_sq, oct_eq
 from octospin.scalar import (
     CIRCLE_HALF,
-    CIRCLE_IDENTITY,
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
@@ -50,6 +49,7 @@ from octospin.spinmaps import (
 E = [Octonion.basis(i) for i in range(8)]
 P12 = OrientedPlane(E[1], E[2])
 T35 = CirclePoint(F(3, 5), F(4, 5))
+ONE = CirclePoint(F(1), F(0))
 
 
 def rand_inputs(k, restrict="R7"):
@@ -85,14 +85,16 @@ def test_basis_b_scaled_w():
 
 
 def test_basis_b_rejects_bad_inputs():
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError, match="frame elements xy and w are not orthogonal"):
         basis_b(P12, E[3])  # inside span{e0,x,y,xy}
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError, match="w must be nonzero"):
         basis_b(P12, Octonion.zero())
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError, match="frame elements e0 and w are not orthogonal"):
         basis_b(P12, E[0] + E[4])  # not purely imaginary
+    with pytest.raises(FrameError, match="frame elements e0 and x are not orthogonal"):
+        basis_b(OrientedPlane(E[0], E[1]), E[4])  # plane not purely imaginary
     scaled = OrientedPlane(E[1].scale(F(2)), E[2].scale(F(2)))
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError, match="frame element x has the wrong norm"):
         basis_b(scaled, E[4])  # spanning pair must be unit
 
 
@@ -127,7 +129,7 @@ def test_frame_table_rejects_non_frame():
 
 
 def test_f7_identity_angle():
-    assert mat_eq(f7(P12, CIRCLE_IDENTITY), Matrix8.identity())
+    assert mat_eq(f7(P12, ONE), Matrix8.identity())
 
 
 def test_f7_quarter_turn_signed_permutation():
@@ -174,7 +176,7 @@ def test_f7_factors_commute():
 
 def test_f5_is_restriction():
     assert mat_eq(f5(P12, CIRCLE_QUARTER), f7(P12, CIRCLE_QUARTER))
-    assert mat_eq(f5(P12, CIRCLE_IDENTITY), Matrix8.identity())
+    assert mat_eq(f5(P12, ONE), Matrix8.identity())
 
 
 def test_f5_rejects_unsupported_planes():
@@ -194,25 +196,25 @@ def test_f5_on_e4_e5_is_member():
 def test_f7xf5_identities():
     p7, _ = rand_inputs(3)
     p5 = OrientedPlane(E[4], E[5])
-    assert mat_eq(f7xf5(p7, CIRCLE_IDENTITY, p5, CIRCLE_IDENTITY), Matrix8.identity())
-    assert mat_eq(f7xf5(p7, T35, p5, CIRCLE_IDENTITY), f7(p7, T35))
+    assert mat_eq(f7xf5(p7, ONE, p5, ONE), Matrix8.identity())
+    assert mat_eq(f7xf5(p7, T35, p5, ONE), f7(p7, T35))
     assert verify_spin7(f7xf5(p7, T35, p5, CIRCLE_QUARTER)).is_member
 
 
 def test_h70():
     p7, t = rand_inputs(4)
     p5, t2 = rand_inputs(4, restrict="R5")
-    assert mat_eq(h70(p7, CIRCLE_IDENTITY, p5, CIRCLE_IDENTITY), Matrix8.identity())
+    assert mat_eq(h70(p7, ONE, p5, ONE), Matrix8.identity())
     m = h70(p7, t, p5, t2)
     assert apply(m, E[0]) == E[0]
-    single = h70(P12, CIRCLE_QUARTER, p5, CIRCLE_IDENTITY)
+    single = h70(P12, CIRCLE_QUARTER, p5, ONE)
     assert mat_eq(single, plane_rotation(P12, CIRCLE_QUARTER))
 
 
 def test_p_map():
-    assert p_map(CIRCLE_IDENTITY, CIRCLE_IDENTITY) == (CIRCLE_IDENTITY, CIRCLE_IDENTITY)
+    assert p_map(ONE, ONE) == (ONE, ONE)
     assert p_map(CIRCLE_QUARTER, CIRCLE_QUARTER) == (CIRCLE_HALF, CIRCLE_HALF)
-    assert p_map(T35, CIRCLE_IDENTITY) == (CirclePoint(F(-7, 25), F(24, 25)), CIRCLE_IDENTITY)
+    assert p_map(T35, ONE) == (CirclePoint(F(-7, 25), F(24, 25)), ONE)
 
 
 def test_project_double_cover_identity_and_center():
@@ -289,7 +291,7 @@ def test_triality_standard_instance():
 
 
 def test_triality_trivial_angle():
-    report = triality_check(P12, CIRCLE_IDENTITY, E[4])
+    report = triality_check(P12, ONE, E[4])
     assert report.passed
 
 
@@ -307,7 +309,7 @@ def test_spin8_map():
     matrix, s = spin8_map(p7, t, p5, T35, E[0])
     assert s == E[0]
     assert verify_spin7(matrix).is_member
-    matrix, s = spin8_map(p7, CIRCLE_IDENTITY, p5, CIRCLE_IDENTITY, E[0])
+    matrix, s = spin8_map(p7, ONE, p5, ONE, E[0])
     assert mat_eq(matrix, Matrix8.identity())
     with pytest.raises(ValueError):
         spin8_map(p7, t, p5, T35, E[0].scale(F(2)))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from octospin import geometry, octonion, scalar, spinmaps, suites
+from octospin import degree, geometry, octonion, scalar, spinmaps, suites
 from octospin.cli import main as cli_main
 from octospin.geometry import Matrix8, OrientedPlane
 from octospin.octonion import Octonion, norm_sq
@@ -172,6 +172,11 @@ _DEFECTS = {
         geometry.solve_linear,
         lambda original: lambda *args: _first_row_doubled(original(*args)),
         {"geometry.cayley-special-orthogonal"},
+    ),
+    "crossing-sign-flipped": (
+        degree._cut_crossing,
+        lambda original: lambda *args: -original(*args),
+        {"degree.identity-map", "degree.double-angle", "degree.composition"},
     ),
     "fano-sign-symmetric-pair": (
         octonion.FANO_SIGN,
