@@ -82,19 +82,16 @@ def _is_upper(p: CirclePoint) -> bool:
 def _cut_crossing(p: CirclePoint, q: CirclePoint, backend: Backend) -> int:
     """Signed crossing of the negative real axis by the shorter arc p -> q.
 
-    The shorter arc crosses the cut iff the chord does, and the chord's
-    zero of the s-coordinate locates the side; both are computed in the
-    backend's scalars.  Raises on antipodes (as ``backend.eq`` sees them),
-    where the shorter arc is ambiguous.
+    The shorter arc crosses the cut iff the chord does.  The chord meets
+    s = 0 at x with x * (p.s - q.s) = p.s * q.c - p.c * q.s, so the sign of
+    x is read without a division.  Antipodes (as ``backend.eq`` sees them),
+    where the arc is ambiguous, raise first; after that p.s != q.s whenever
+    p and q lie on opposite sides.
     """
     if backend.eq(p.c, -q.c) and backend.eq(p.s, -q.s):
         raise AmbiguousArcError("consecutive image points are antipodal")
-    up_p, up_q = _is_upper(p), _is_upper(q)
-    if up_p == up_q:
-        return 0
-    lam = p.s / (p.s - q.s)
-    x_cross = p.c + lam * (q.c - p.c)
-    if x_cross >= 0:
+    up_p = _is_upper(p)
+    if up_p == _is_upper(q) or (p.s * q.c - p.c * q.s) * (p.s - q.s) >= 0:
         return 0
     return 1 if up_p else -1
 

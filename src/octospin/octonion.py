@@ -71,10 +71,6 @@ class Octonion:
             raise ValueError("octonion needs exactly 8 coordinates")
 
     @staticmethod
-    def zero() -> "Octonion":
-        return Octonion((0,) * 8)
-
-    @staticmethod
     def basis(i: int) -> "Octonion":
         coords = [0] * 8
         coords[i] = 1

@@ -263,10 +263,6 @@ def _triple(rng):
     return tuple(random_octonion(rng) for _ in range(3))
 
 
-def _octonion_and_e0(rng):
-    return random_octonion(rng), Octonion.basis(0)
-
-
 def _orthogonal_pair(rng):
     x = _orthogonal_to(rng, ())
     return x, _orthogonal_to(rng, [x])
@@ -299,10 +295,10 @@ def _complement_vector(rng, p):
 
 
 def _scaled_plane(rng, p):
-    lam = random_rational(rng, 9, 4)
-    while lam == 0:
-        lam = random_rational(rng, 9, 4)
-    return OrientedPlane(p.u.scale(lam), p.v.scale(lam)), lam
+    a = random_rational(rng, 9, 4)
+    while a == 0:
+        a = random_rational(rng, 9, 4)
+    return OrientedPlane(p.u.scale(a), p.v.scale(a)), a
 
 
 def _w_coefficients(rng, p):
@@ -379,7 +375,8 @@ def _norm_multiplicative(b, x, y):
     return None if ok else {"x": x, "y": y}
 
 
-def _conjugation(b, x, e0):
+def _conjugation(b, x):
+    e0 = Octonion.basis(0)
     ok = oct_eq(conj(conj(x)), x, b) and oct_eq(mul(x, conj(x)), e0.scale(norm_sq(x)), b)
     return None if ok else {"x": x}
 
@@ -420,7 +417,7 @@ def _fixes_complement(b, p, t, t2, z):
     return None if ok else {"plane": p, "z": z}
 
 
-def _orientation_reversal(b, p, t, t2):
+def _orientation_reversal(b, p, t):
     rhs = plane_rotation(OrientedPlane(p.v, p.u), t.inverse(), b)
     return None if mat_eq(plane_rotation(p, t, b), rhs, b) else {"plane": p}
 
@@ -435,7 +432,7 @@ def _basis_invariance(b, p, t, s):
     return None if mat_eq(lhs, plane_rotation(p, t, b), b) else {"plane": p, "s": s}
 
 
-def _rotation_is_special_orthogonal(b, p, t, t2):
+def _rotation_is_special_orthogonal(b, p, t):
     ok = so_check(plane_rotation(p, t, b), b).passed
     return None if ok else {"plane": p, "t": t}
 
@@ -535,7 +532,7 @@ def _spin8_coordinates(b, p7, t, p5, t2, s, k):
 
 
 def _triality(b, p, t, k):
-    report = triality_check(p, t, None, b)
+    report = triality_check(p, t, b)
     return (
         {"trial": k, "failures": report.pair_failures[:4]} if report.pair_failures else None,
         None if report.explicit_case_ok else {"trial": k},
@@ -645,7 +642,8 @@ CLAIMS: Dict[str, tuple] = {
         Claim({"octonion.norm-multiplicative": "|x*y|^2 = |x|^2 * |y|^2"},
               _streamed("octonion", "norm", _pair), _norm_multiplicative),
         Claim({"octonion.conjugation": "conj(conj(x)) = x and x*conj(x) = |x|^2 e0"},
-              _streamed("octonion", "conjugation", _octonion_and_e0), _conjugation),
+              _streamed("octonion", "conjugation", lambda rng: (random_octonion(rng),)),
+              _conjugation),
         Claim({"octonion.right-division": "right_divide(b*u, u) = b for u != 0"},
               _streamed("octonion", "right-division", _divisible_pair), _right_division),
         Claim({"octonion.fano-consistency":
@@ -658,13 +656,13 @@ CLAIMS: Dict[str, tuple] = {
         Claim({"rotation.fixes-complement": "rot(P, t) fixes every vector orthogonal to the plane"},
               _plane("rotation", "fixes-complement", 2, _complement_vector), _fixes_complement),
         Claim({"rotation.orientation-reversal": "rot([u,v], t) = rot([v,u], -t)"},
-              _plane("rotation", "orientation", 2), _orientation_reversal),
+              _plane("rotation", "orientation"), _orientation_reversal),
         Claim({"rotation.scaling-invariance": "rot([a*u, a*v], t) = rot([u, v], t) for a != 0"},
               _plane("rotation", "scaling", 2, _scaled_plane), _scaling_invariance),
         Claim({"rotation.basis-invariance": "rot(P, t) does not depend on the spanning pair of P"},
               _plane("rotation", "basis", 2), _basis_invariance),
         Claim({"rotation.special-orthogonal": "every plane rotation passes the SO(8) check"},
-              _plane("rotation", "so", 2), _rotation_is_special_orthogonal),
+              _plane("rotation", "so"), _rotation_is_special_orthogonal),
         Claim({"geometry.cayley-special-orthogonal":
                "Cayley transforms of antisymmetric matrices pass the SO(8) check"},
               _indexed(_cayley_inputs), _cayley_special_orthogonal),
@@ -787,26 +785,22 @@ def run_verify_suite(config: RunConfig, suite_names=None):
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if suite_names is None:
-        suite_names = list(SUITE_NAMES)
+        suite_names = SUITE_NAMES
     unknown = [s for s in suite_names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    if not suite_names:
+    selected = [s for s in SUITE_NAMES if s in suite_names]
+    if not selected:
         raise ValueError("no suites selected")
-    results = {}
-    all_passed = True
-    for name in SUITE_NAMES:
-        if name not in suite_names:
-            continue
-        results[name] = SUITES[name](backend, config.seed, config.trials)
-        all_passed = all_passed and all(c["passed"] for c in results[name])
+    results = {name: SUITES[name](backend, config.seed, config.trials) for name in selected}
+    all_passed = all(c["passed"] for records in results.values() for c in records)
     report = {
         "config": {
             "backend": config.backend,
             "epsilon": config.epsilon if config.backend == "float" else None,
             "seed": config.seed,
             "trials": config.trials,
-            "suites": [s for s in SUITE_NAMES if s in suite_names],
+            "suites": selected,
         },
         "results": results,
         "all_passed": all_passed,

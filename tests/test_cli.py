@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,17 @@ def test_eval_rejects_nan_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_module_entry_point_writes_report_to_stdout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "octospin.cli", "verify", "--suites", "octonion-identities",
+         "--trials", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["config"]["suites"] == ["octonion-identities"]
+
+
 def test_verify_is_deterministic(tmp_path):
     args = ["verify", "--suites", "degree-ledger", "--trials", "2", "--seed", "5"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -121,6 +136,14 @@ def test_eval_f7xf5_identity(tmp_path):
     assert mat_eq(parse_matrix(payload["matrix"], EXACT), Matrix8.identity())
 
 
+def test_eval_f5_to_stdout(capsys):
+    assert run(["eval", "f5", "--plane", "e1,e2", "--angle", "u=1/2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["map"] == "f5"
+    assert payload["so_check"]["passed"] is True
+    assert payload["spin7_membership"]["is_member"] is True
+
+
 def test_eval_f7xf5_requires_second_arguments(tmp_path):
     code = run(["eval", "f7xf5", "--plane", "e1,e2", "--angle", "1,0"])
     assert code == 2
@@ -150,6 +173,15 @@ def test_eval_spin8(tmp_path):
     assert payload["spin7_membership"]["is_member"] is True
 
 
+def test_eval_spin8_requires_s_vector(capsys):
+    code = run([
+        "eval", "spin8", "--plane", "e1,e2", "--angle", "1,0",
+        "--plane2", "e4,e5", "--angle2", "1,0",
+    ])
+    assert code == 2
+    assert "spin8 needs --s-vector" in capsys.readouterr().err
+
+
 def test_eval_spin8_rejects_non_unit_s(tmp_path):
     code = run([
         "eval", "spin8", "--plane", "e1,e2", "--angle", "1,0",
@@ -162,6 +194,8 @@ def test_eval_spin8_rejects_non_unit_s(tmp_path):
 def test_eval_rejects_malformed_plane():
     assert run(["eval", "f7", "--plane", "e1", "--angle", "1,0"]) == 2
     assert run(["eval", "f7", "--plane", "e1,e2,e3", "--angle", "1,0"]) == 2
+    # a vector with three entries instead of eight
+    assert run(["eval", "f7", "--plane", "1,2,3;e2", "--angle", "1,0"]) == 2
 
 
 def test_eval_rejects_off_circle_angle():
@@ -175,10 +209,13 @@ def test_eval_rejects_off_circle_angle():
                 "--backend", "float"]) == 2
 
 
-def test_eval_rejects_bad_plane_geometry():
+def test_eval_rejects_bad_plane_geometry(capsys):
     # not orthogonal
     assert run(["eval", "f7", "--plane", "1,1,0,0,0,0,0,0;0,1,0,0,0,0,0,0",
                 "--angle", "1,0"]) == 2
+    # f5 takes planes inside span{e1..e5} only
+    assert run(["eval", "f5", "--plane", "e1,e6", "--angle", "1,0"]) == 2
+    assert "supported on coordinates 1..5" in capsys.readouterr().err
 
 
 def test_eval_f7_rejects_zero_plane(capsys):

@@ -64,7 +64,7 @@ def test_plane_rotation_rejects_bad_planes():
     with pytest.raises(PlaneError):
         plane_rotation(OrientedPlane(E[1], E[2].scale(F(2))), T35)
     with pytest.raises(PlaneError):
-        plane_rotation(OrientedPlane(Octonion.zero(), Octonion.zero()), T35)
+        plane_rotation(OrientedPlane(Octonion((0,) * 8), Octonion((0,) * 8)), T35)
 
 
 def test_rotate_plane_basis():

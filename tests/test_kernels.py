@@ -278,7 +278,7 @@ def test_exact_kernel_outputs_are_fractions_never_floats():
     ident = Matrix8.identity()
     int_matrix = Matrix8(tuple(tuple(i - j for j in range(8)) for i in range(8)))
     matrices = [ident, int_matrix, _exact_matrix(rng, 16)]
-    octonions = e + [Octonion.zero(), Octonion(tuple(range(8))), _exact_octonion(rng, 16)]
+    octonions = e + [Octonion((0,) * 8), Octonion(tuple(range(8))), _exact_octonion(rng, 16)]
     outputs = [compose(a, b) for a in matrices for b in matrices]
     outputs += [apply(a, x) for a in matrices for x in octonions]
     outputs += [mul(x, y) for x in octonions for y in octonions]
@@ -299,4 +299,4 @@ def test_right_divide_honours_the_float_tolerance():
     tiny_exact = Octonion((F(1, 10**5),) + (F(0),) * 7)
     assert right_divide(Octonion.basis(3), tiny_exact, EXACT) == Octonion.basis(3).scale(F(10**5))
     with pytest.raises(ZeroDivisionError):
-        right_divide(Octonion.basis(3), Octonion.zero(), EXACT)
+        right_divide(Octonion.basis(3), Octonion((0,) * 8), EXACT)

@@ -70,7 +70,7 @@ def test_basis_b_defaults_to_choose_w():
 
 
 def test_zero_plane_is_a_plane_error():
-    zero = OrientedPlane(Octonion.zero(), Octonion.zero())
+    zero = OrientedPlane(Octonion((0,) * 8), Octonion((0,) * 8))
     with pytest.raises(PlaneError, match="nonzero"):
         f7(zero, T35)
     with pytest.raises(PlaneError, match="nonzero"):
@@ -88,7 +88,7 @@ def test_basis_b_rejects_bad_inputs():
     with pytest.raises(FrameError, match="frame elements xy and w are not orthogonal"):
         basis_b(P12, E[3])  # inside span{e0,x,y,xy}
     with pytest.raises(FrameError, match="w must be nonzero"):
-        basis_b(P12, Octonion.zero())
+        basis_b(P12, Octonion((0,) * 8))
     with pytest.raises(FrameError, match="frame elements e0 and w are not orthogonal"):
         basis_b(P12, E[0] + E[4])  # not purely imaginary
     with pytest.raises(FrameError, match="frame elements e0 and x are not orthogonal"):
@@ -284,15 +284,15 @@ def test_membership_report_serialization():
 
 
 def test_triality_standard_instance():
-    report = triality_check(P12, T35, E[4])
-    assert report.passed
+    report = triality_check(P12, T35)
     assert report.explicit_case_ok
     assert not report.pair_failures and not report.half_turn_failures
 
 
 def test_triality_trivial_angle():
-    report = triality_check(P12, ONE, E[4])
-    assert report.passed
+    report = triality_check(P12, ONE)
+    assert report.explicit_case_ok
+    assert not report.pair_failures and not report.half_turn_failures
 
 
 def test_triality_explicit_case_formula():

@@ -36,6 +36,15 @@ def test_report_bytes_are_pinned(backend, epsilon, seed, names, digest):
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
 
 
+def test_suite_selection_follows_report_order_once():
+    code, report = run_verify_suite(
+        RunConfig(trials=1), ["triality", "octonion-identities", "triality"]
+    )
+    assert code == 0
+    assert report["config"]["suites"] == ["octonion-identities", "triality"]
+    assert list(report["results"]) == ["octonion-identities", "triality"]
+
+
 def test_broken_algebra_is_a_failing_report(monkeypatch):
     # Reorient one Fano line, (7, 2, 5) -> (7, 5, 2), in the tables that the
     # octonion product and the membership decision read.
@@ -98,6 +107,17 @@ def _swapped(p):
 
 def _first_row_doubled(rows):
     return [[2 * x for x in rows[0]]] + rows[1:]
+
+
+def _with_element(frame, i, element):
+    """The frame with element i replaced, unvalidated."""
+    elements = frame.elements[:i] + (element,) + frame.elements[i + 1:]
+    return spinmaps.FrameB(elements, frame.norm_w)
+
+
+def _wx_as_xw(frame):
+    # x*w = -(w*x), so the Gram matrix of the frame does not change.
+    return _with_element(frame, 5, octonion.mul(frame.elements[1], frame.elements[4]))
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -178,6 +198,21 @@ _DEFECTS = {
         lambda original: lambda *args: -original(*args),
         {"degree.identity-map", "degree.double-angle", "degree.composition"},
     ),
+    # The next two turn frame claims red by value; the broken Fano sign
+    # below turns them red only through the FrameError of basis_b.
+    "f7-factor-plane-e0-y": (
+        # Element 3, xy, spans only the second plane: [e0, xy] becomes [e0, y].
+        spinmaps.f7_factors,
+        lambda original: lambda frame, *rest: original(
+            _with_element(frame, 3, frame.elements[2]), *rest
+        ),
+        {"f7.factors-commute"},
+    ),
+    "frame-wx-as-xw": (
+        spinmaps.basis_b,
+        lambda original: lambda *args, **kwargs: _wx_as_xw(original(*args, **kwargs)),
+        {"frame.orthogonal-basis", "f7.w-expansion-x", "f7.w-expansion-y", "f7.w-expansion-xy"},
+    ),
     "fano-sign-symmetric-pair": (
         octonion.FANO_SIGN,
         lambda original: tuple(
@@ -206,6 +241,22 @@ def test_defect_turns_named_claims_red(monkeypatch, defect):
     red = {c["claim"] for claims in report["results"].values() for c in claims if not c["passed"]}
     assert code == 1
     assert expected_red <= red
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("defect", ["f7-factor-plane-e0-y", "frame-wx-as-xw"])
+def test_frame_defect_fails_claims_by_value(monkeypatch, defect, backend):
+    original, make_replacement, expected_red = _DEFECTS[defect]
+    _patch_everywhere(monkeypatch, original, make_replacement(original))
+
+    _, report = run_verify_suite(
+        RunConfig(backend=backend, seed=42, trials=1), ["f7-well-defined", "triality"]
+    )
+
+    claims = {c["claim"]: c for results in report["results"].values() for c in results}
+    for cid in expected_red:
+        failures = claims[cid]["failures"]
+        assert failures and all("error" not in f for f in failures), cid
 
 
 def test_every_claim_has_a_defect_that_turns_it_red():
