@@ -27,6 +27,7 @@ from .scalar import (
     EXACT,
     Scalar,
     circle_from_parameter,
+    cleared,
     derived_rng,
     double_angle,
     random_rational,
@@ -55,13 +56,12 @@ H_MULTIPLIER_CITATION = (
 
 
 @functools.lru_cache(maxsize=8)
-def circle_samples(n: int) -> Tuple[CirclePoint, ...]:
-    """n exact rational points walking once counterclockwise around S^1.
+def _exact_circle_samples(n: int) -> Tuple[CirclePoint, ...]:
+    """n exact rational points on S^1 walking once counterclockwise.
 
     Points are stereographic-parameter approximations of equally spaced
     angles in (-pi, pi); consecutive gaps are about 2*pi/n, and the single
-    wrap-around step crosses the branch cut at angle pi exactly once.  The
-    points depend only on n, so each n is built once and shared.
+    wrap-around step crosses the branch cut at angle pi exactly once.
     """
     if n < 8:
         raise ValueError("need at least 8 samples")
@@ -74,6 +74,22 @@ def circle_samples(n: int) -> Tuple[CirclePoint, ...]:
     return tuple(circle_from_parameter(u) for u in params)
 
 
+@functools.lru_cache(maxsize=16)
+def circle_samples(n: int, backend: Backend = EXACT) -> Tuple[CirclePoint, ...]:
+    """The n circle samples as the points that ``winding_degree`` maps.
+
+    Each exact sample (c, s) becomes its ``cleared`` numerators (C, S) over
+    one positive denominator d: on the exact backend the int point d*(c, s),
+    on floats the normalized point itself.  The points depend only on
+    (n, backend), so each pair is built once and shared.
+    """
+    points = []
+    for p in _exact_circle_samples(n):
+        (c, s), _ = cleared([backend.from_fraction(p.c), backend.from_fraction(p.s)])
+        points.append(CirclePoint(c, s))
+    return tuple(points)
+
+
 def _is_upper(p: CirclePoint) -> bool:
     # Branch-cut convention: the point (-1, 0) belongs to the upper side.
     return p.s > 0 or (p.s == 0 and p.c < 0)
@@ -84,14 +100,19 @@ def _cut_crossing(p: CirclePoint, q: CirclePoint, backend: Backend) -> int:
 
     The shorter arc crosses the cut iff the chord does.  The chord meets
     s = 0 at x with x * (p.s - q.s) = p.s * q.c - p.c * q.s, so the sign of
-    x is read without a division.  Antipodes (as ``backend.eq`` sees them),
-    where the arc is ambiguous, raise first; after that p.s != q.s whenever
-    p and q lie on opposite sides.
+    x is read without a division.  Only signs are read, so p and q may be
+    points of the circle scaled by any positive factors.  Antipodes, where
+    the arc is ambiguous, raise first: as ``backend.eq`` sees them, or at
+    any scales as opposite points of one line through the origin.  After
+    that p.s != q.s whenever p and q lie on opposite sides.
     """
-    if backend.eq(p.c, -q.c) and backend.eq(p.s, -q.s):
+    cross = p.s * q.c - p.c * q.s
+    if (backend.eq(p.c, -q.c) and backend.eq(p.s, -q.s)) or (
+        cross == 0 and p.c * q.c + p.s * q.s < 0
+    ):
         raise AmbiguousArcError("consecutive image points are antipodal")
     up_p = _is_upper(p)
-    if up_p == _is_upper(q) or (p.s * q.c - p.c * q.s) * (p.s - q.s) >= 0:
+    if up_p == _is_upper(q) or cross * (p.s - q.s) >= 0:
         return 0
     return 1 if up_p else -1
 
@@ -103,13 +124,15 @@ def winding_degree(
 ) -> int:
     """Net number of turns of the circle self-map f.
 
-    The exact samples are converted with ``backend.from_fraction`` and
-    mapped by f; the degree is the signed count of branch-cut crossings of
-    the image loop, on either backend.  The caller must supply enough
-    samples that consecutive image points subtend less than pi; antipodes
-    raise AmbiguousArcError.
+    f is applied to the points of ``circle_samples(samples, backend)``; the
+    degree is the signed count of branch-cut crossings of the image loop, on
+    either backend.  On the exact backend those points are int multiples of
+    the samples, so f must be homogeneous: f(l*p) a positive multiple of
+    f(p) for every l > 0, as polynomial maps of one degree in (c, s) are.
+    The caller must supply enough samples that consecutive image points
+    subtend less than pi; antipodes raise AmbiguousArcError.
     """
-    imgs = [f(p.map_scalars(backend.from_fraction)) for p in circle_samples(samples)]
+    imgs = [f(p) for p in circle_samples(samples, backend)]
     return sum(
         _cut_crossing(imgs[k], imgs[(k + 1) % samples], backend) for k in range(samples)
     )

@@ -46,14 +46,21 @@ class ExactBackend:
         return Fraction(text.strip())
 
 
+@dataclass(frozen=True)
 class FloatBackend:
-    """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|)."""
+    """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|).
 
-    def __init__(self, epsilon: float = 1e-9):
-        epsilon = float(epsilon)
+    Backends of equal epsilon are equal and hash alike, so caches keyed by
+    the backend are shared between runs.
+    """
+
+    epsilon: float = 1e-9
+
+    def __post_init__(self):
+        epsilon = float(self.epsilon)
         if not 0 < epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        self.epsilon = epsilon
+        object.__setattr__(self, "epsilon", epsilon)
 
     def from_fraction(self, q: Fraction) -> float:
         return float(q)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from octospin.degree import (
     DegreeReport,
     LedgerError,
     SquareReport,
+    _exact_circle_samples,
     circle_samples,
     degree_ledger,
     verify_square,
@@ -32,10 +34,64 @@ ONE = CirclePoint(F(1), F(0))
 def test_circle_samples_exact_and_ordered():
     pts = circle_samples(64)
     assert len(pts) == 64
-    for p in pts:
-        assert on_circle(p)
+    for p, exact in zip(pts, _exact_circle_samples(64)):
+        # Int points over one positive denominator d: C^2 + S^2 = d^2.
+        assert type(p.c) is int and type(p.s) is int
+        d = math.isqrt(p.c * p.c + p.s * p.s)
+        assert d > 0 and d * d == p.c * p.c + p.s * p.s
+        assert on_circle(CirclePoint(F(p.c, d), F(p.s, d)))
+        assert CirclePoint(F(p.c, d), F(p.s, d)) == exact
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        assert p.c * q.s - p.s * q.c > 0  # each step turns counterclockwise
     with pytest.raises(ValueError):
         circle_samples(4)
+    with pytest.raises(ValueError):
+        circle_samples(4, FloatBackend())
+
+
+@pytest.mark.parametrize("epsilon", [1e-15, 1e-9, 0.5])
+def test_float_samples_are_the_normalized_exact_points(epsilon):
+    for n in (8, 256, 1024):
+        for p, q in zip(circle_samples(n, FloatBackend(epsilon)), _exact_circle_samples(n)):
+            assert type(p.c) is float and type(p.s) is float
+            assert (p.c, p.s) == (float(q.c), float(q.s))
+
+
+def _reference_degree(f, samples):
+    """The winding degree as counted before integer sample points: the map on
+    the normalized Fraction samples, and the chord's crossing point divided
+    out."""
+    imgs = [f(p) for p in _exact_circle_samples(samples)]
+    degree = 0
+    for p, q in zip(imgs, imgs[1:] + imgs[:1]):
+        if p.c == -q.c and p.s == -q.s:
+            raise AmbiguousArcError("consecutive image points are antipodal")
+        up_p = p.s > 0 or (p.s == 0 and p.c < 0)
+        up_q = q.s > 0 or (q.s == 0 and q.c < 0)
+        if up_p != up_q and (p.s * q.c - p.c * q.s) / (p.s - q.s) < 0:
+            degree += 1 if up_p else -1
+    return degree
+
+
+def _power(k):
+    """The circle map t -> 2^k t."""
+    def f(p):
+        for _ in range(k):
+            p = double_angle(p)
+        return p
+    return f
+
+
+@pytest.mark.parametrize("samples", [8, 256, 1024])
+@pytest.mark.parametrize(
+    "name, f",
+    [("identity", lambda p: p), ("inverse", lambda p: p.inverse()),
+     ("constant", lambda p: CirclePoint(p.c * 0 + 1, p.s * 0)),
+     ("x2", _power(1)), ("x4", _power(2)), ("x8", _power(3))],
+)
+def test_integer_points_wind_as_fraction_samples(name, f, samples):
+    # At 8 samples x4 and x8 are undersampled; both paths must agree anyway.
+    assert winding_degree(f, samples) == _reference_degree(f, samples)
 
 
 def test_winding_identity():
@@ -83,13 +139,20 @@ def test_winding_float_backend():
 @pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
 def test_winding_antipodal_error(backend):
     lookup = {}
-    for k, p in enumerate(circle_samples(8)):
+    for k, p in enumerate(circle_samples(8, backend)):
         target = ONE if k % 2 == 0 else CIRCLE_HALF
-        p = p.map_scalars(backend.from_fraction)
         lookup[(p.c, p.s)] = target.map_scalars(backend.from_fraction)
 
     with pytest.raises(AmbiguousArcError):
         winding_degree(lambda p: lookup[(p.c, p.s)], 8, backend)
+
+
+def test_exact_antipodes_of_different_scales_raise():
+    # (3, 0) then (-5, 0): opposite points that backend.eq does not match.
+    lookup = dict(zip(circle_samples(8), [CirclePoint(3, 0), CirclePoint(-5, 0)] * 4))
+
+    with pytest.raises(AmbiguousArcError):
+        winding_degree(lambda p: lookup[p], 8)
 
 
 def test_verify_square_passes():

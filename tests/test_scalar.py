@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +82,16 @@ def test_float_backend_equality():
     assert not fb.eq(inf, 1.0)
     assert not fb.eq(1.0, -inf)
     assert not fb.eq(inf, inf)
+
+
+def test_float_backends_of_equal_epsilon_are_equal_values():
+    fb = FloatBackend(1e-9)
+    assert fb == FloatBackend(1e-9)
+    assert hash(fb) == hash(FloatBackend(1e-9))
+    assert fb != FloatBackend(1e-3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fb.epsilon = 1e-3
+    assert fb.epsilon == 1e-9
 
 
 def test_float_backend_rejects_bad_epsilon():

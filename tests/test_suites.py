@@ -219,14 +219,24 @@ _DEFECTS = {
             tuple(-x if (i, j) == (2, 1) else x for j, x in enumerate(row))
             for i, row in enumerate(original)
         ),
-        # The frame entries and the degree ledger fail by the FrameError
-        # that basis_b raises on the broken algebra.
+        # The frame entries fail by the FrameError that basis_b raises on
+        # the broken algebra.
         {"octonion.anticommute-orthogonal", "octonion.alternative",
          "octonion.moufang-bimultiplication", "octonion.moufang-left", "octonion.moufang-right",
          "octonion.norm-multiplicative", "octonion.orthogonal-anti-associative",
          "octonion.unit-triple-cycle", "frame.orthogonal-basis", "f7.w-expansion-x",
-         "f7.w-expansion-y", "f7.w-expansion-xy", "f7.factors-commute",
-         "degree.identity-map", "degree.constant-map", "degree.sample-stability"},
+         "f7.w-expansion-y", "f7.w-expansion-xy", "f7.factors-commute"},
+    ),
+    "winding-off-by-one-turn": (
+        degree.winding_degree,
+        lambda original: lambda *args: original(*args) + 1,
+        {"degree.identity-map", "degree.double-angle", "degree.constant-map",
+         "degree.composition", "degree.ledger"},
+    ),
+    "samples-clockwise-at-1024": (
+        degree.circle_samples,
+        lambda original: lambda n, *rest: original(n, *rest)[::-1 if n >= 1024 else 1],
+        {"degree.sample-stability"},
     ),
 }
 
@@ -257,6 +267,21 @@ def test_frame_defect_fails_claims_by_value(monkeypatch, defect, backend):
     for cid in expected_red:
         failures = claims[cid]["failures"]
         assert failures and all("error" not in f for f in failures), cid
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "defect", ["crossing-sign-flipped", "winding-off-by-one-turn", "samples-clockwise-at-1024"]
+)
+def test_degree_defect_fails_circle_claims_by_value(monkeypatch, defect, backend):
+    original, make_replacement, expected_red = _DEFECTS[defect]
+    _patch_everywhere(monkeypatch, original, make_replacement(original))
+
+    _, report = run_verify_suite(RunConfig(backend=backend, seed=42, trials=1), ["degree-ledger"])
+
+    claims = {c["claim"]: c for c in report["results"]["degree-ledger"]}
+    for cid in expected_red - {"degree.ledger"}:
+        assert claims[cid]["failures"] == ["mismatch"], cid
 
 
 def test_every_claim_has_a_defect_that_turns_it_red():
