@@ -15,7 +15,10 @@ plane generator; the solve behind it is fraction-free, on integer rows.
 of ``scalar.cleared`` (ints over one int scale per operand on the exact
 backend, the floats themselves with scale 1.0 on floats) and build each entry
 once by ``scalar.quotient`` over the product of the scales, so exact results
-are reduced Fractions and float bits are unchanged.
+are reduced Fractions and float bits are unchanged.  A matrix keeps its
+cleared form, ``Matrix8.cleared_rows``, as an octonion keeps
+``Octonion.cleared``: computed on first use, once per object.  The Cayley
+systems are set up on A's cleared rows N over d, as d*I + N and d*I - N.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from .octonion import Octonion, Vector8, inner, mul, norm_sq
@@ -93,21 +97,21 @@ class Matrix8:
     def map_scalars(self, fn) -> "Matrix8":
         return Matrix8(tuple(tuple(fn(x) for x in row) for row in self.rows))
 
+    @cached_property
+    def cleared_rows(self):
+        """The rows of ``cleared`` numerators of all 64 entries, and their
+        scale, computed once per matrix; not a field, like ``Octonion.cleared``."""
+        nums, scale = cleared([x for row in self.rows for x in row])
+        return [nums[i:i + 8] for i in range(0, 64, 8)], scale
+
 
 #: The identity in ints, which subtract exactly from Fractions and floats alike.
 _IDENTITY = Matrix8(tuple(tuple(int(i == j) for j in range(8)) for i in range(8)))
 
 
-def _cleared_rows(m: Matrix8):
-    """The rows of ``cleared`` numerators of all 64 entries, and their scale."""
-    nums, scale = cleared([x for row in m.rows for x in row])
-    return [nums[i:i + 8] for i in range(0, 64, 8)], scale
-
-
 def compose(a: Matrix8, b: Matrix8) -> Matrix8:
     """Matrix product a*b (apply b first, then a), on cleared numerators."""
-    rows, sa = _cleared_rows(a)
-    brows, sb = _cleared_rows(b)
+    (rows, sa), (brows, sb) = a.cleared_rows, b.cleared_rows
     scale = sa * sb
     cols = tuple(zip(*brows))
     return Matrix8(tuple(
@@ -117,8 +121,7 @@ def compose(a: Matrix8, b: Matrix8) -> Matrix8:
 
 def apply(a: Matrix8, z: Vector8) -> Vector8:
     """Matrix-vector product, on cleared numerators."""
-    rows, sa = _cleared_rows(a)
-    zn, sz = cleared(z.coords)
+    (rows, sa), (zn, sz) = a.cleared_rows, z.cleared
     scale = sa * sz
     return Octonion(tuple(quotient(sum(map(operator.mul, row, zn)), scale) for row in rows))
 
@@ -243,12 +246,14 @@ def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
 
     (I - A) and (I + A)^-1 commute, so X is the transform in either factor
     order; elimination treats each right-hand side on its own, so the columns
-    equal those of the full transform.
+    equal those of the full transform.  With A = N/d on its cleared rows, the
+    system is solved as (d*I + N) X = (d*I - N), on ints.
     """
-    if any(a.rows[i][j] != -a.rows[j][i] for i in range(8) for j in range(8)):
+    n, d = a.cleared_rows
+    if any(n[i][j] != -n[j][i] for i in range(8) for j in range(8)):
         raise ValueError("matrix must be antisymmetric")
-    plus = [[int(i == j) + a.rows[i][j] for j in range(8)] for i in range(8)]
-    minus = [[int(i == j) - a.rows[i][j] for j in cols] for i in range(8)]
+    plus = [[d * (i == j) + n[i][j] for j in range(8)] for i in range(8)]
+    minus = [[d * (i == j) - n[i][j] for j in cols] for i in range(8)]
     return tuple(map(Octonion, zip(*solve_linear(plus, minus))))
 
 

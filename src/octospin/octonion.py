@@ -11,10 +11,13 @@ assignment, given e1*e2 = e3 and the products e4*e1 = -e5, e4*e2 = e6,
 e4*e3 = -e7, under which the algebra is alternative and norm-multiplicative
 (the identity suites in :mod:`octospin.suites` re-check this on every run).
 
-``mul`` and ``inner`` accumulate on the numerators of ``scalar.cleared``:
-Python ints over one int denominator on the exact backend, the floats
-themselves (scale 1.0) on the float backend, in the same order either way;
-each result is built once by ``scalar.quotient``.  The basis octonions and
+Each octonion keeps its ``scalar.cleared`` form, ``Octonion.cleared``
+(Python ints over one int denominator on the exact backend, the floats
+themselves with scale 1.0 on floats), computed once per object.
+``mul_numerators`` is the one Fano product loop on those numerators;
+``mul``, ``right_divide`` and ``inner`` build each result once by
+``scalar.quotient``, and the relation loop of :mod:`octospin.spinmaps`
+compares its products as integer cross-products.  The basis octonions and
 zero hold Python ints, which mix exactly with Fractions and floats alike.
 """
 
@@ -24,6 +27,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 from .scalar import Backend, EXACT, Scalar, cleared, quotient, random_rational
@@ -70,6 +74,12 @@ class Octonion:
         if len(self.coords) != 8:
             raise ValueError("octonion needs exactly 8 coordinates")
 
+    @cached_property
+    def cleared(self):
+        """``scalar.cleared`` of the coordinates; not a field, so equality,
+        hashing and repr see only ``coords``."""
+        return cleared(self.coords)
+
     @staticmethod
     def basis(i: int) -> "Octonion":
         coords = [0] * 8
@@ -97,14 +107,9 @@ class Octonion:
 Vector8 = Octonion
 
 
-def mul(a: Octonion, b: Octonion) -> Octonion:
-    """Octonion product, the bilinear extension of the basis table.
-
-    Accumulates on the cleared numerators of a and b and builds each
-    coordinate once, over the product of the two scales.
-    """
-    an, sa = cleared(a.coords)
-    bn, sb = cleared(b.coords)
+def mul_numerators(an, bn) -> list:
+    """The Fano product loop: the eight coordinates of a*b for coordinate
+    (or cleared numerator) lists an and bn, not divided by any scale."""
     out = [0] * 8
     for i, ai in enumerate(an):
         if not ai:
@@ -118,8 +123,18 @@ def mul(a: Octonion, b: Octonion) -> Octonion:
                 out[krow[j]] += ai * bj
             else:
                 out[krow[j]] -= ai * bj
+    return out
+
+
+def mul(a: Octonion, b: Octonion) -> Octonion:
+    """Octonion product, the bilinear extension of the basis table.
+
+    Multiplies the cleared numerators of a and b and builds each coordinate
+    once, over the product of the two scales.
+    """
+    (an, sa), (bn, sb) = a.cleared, b.cleared
     scale = sa * sb
-    return Octonion(tuple(quotient(c, scale) for c in out))
+    return Octonion(tuple(quotient(c, scale) for c in mul_numerators(an, bn)))
 
 
 def conj(a: Octonion) -> Octonion:
@@ -129,8 +144,7 @@ def conj(a: Octonion) -> Octonion:
 
 def inner(a: Octonion, b: Octonion) -> Scalar:
     """Euclidean dot product of the coordinate vectors, on cleared numerators."""
-    an, sa = cleared(a.coords)
-    bn, sb = cleared(b.coords)
+    (an, sa), (bn, sb) = a.cleared, b.cleared
     return quotient(sum(map(operator.mul, an, bn)), sa * sb)
 
 
@@ -142,13 +156,15 @@ def right_divide(a: Octonion, u: Octonion, backend: Backend = EXACT) -> Octonion
     """The unique b with b*u = a, namely a*conj(u) / |u|^2.
 
     Raises ZeroDivisionError when |u|^2 is zero for the backend (within its
-    tolerance on floats).
+    tolerance on floats).  Each coordinate is built once, over the product
+    of the two scales and |u|^2.
     """
     n = norm_sq(u)
     if backend.is_zero(n):
         raise ZeroDivisionError("division by the zero octonion")
-    prod = mul(a, conj(u))
-    return Octonion(tuple(c / n for c in prod.coords))
+    (an, sa), (cn, sc) = a.cleared, conj(u).cleared
+    scale = sa * sc * n
+    return Octonion(tuple(quotient(c, scale) for c in mul_numerators(an, cn)))
 
 
 def oct_eq(a: Octonion, b: Octonion, backend: Backend = EXACT) -> bool:

@@ -8,7 +8,10 @@ other modules is generic over the scalar type; a computation stays inside
 whichever backend its inputs came from.
 
 The product kernels sum ``cleared`` numerators (ints over an int scale on
-exact operands) and build each result once with ``quotient``.
+exact operands) and build each result once with ``quotient``.  Octonions and
+matrices keep their cleared form per object (``Octonion.cleared``,
+``Matrix8.cleared_rows``), and the relation g(a) g~(b) = g~(a*b) is decided
+on integer cross-products of those numerators, without building a Fraction.
 
 Rotation angles are never stored as radians.  A rotation parameter is a
 point (c, s) on the unit circle, so identities involving cos and sin reduce

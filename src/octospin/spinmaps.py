@@ -46,11 +46,12 @@ from .octonion import (
     Octonion,
     Vector8,
     mul,
+    mul_numerators,
     norm_sq,
     oct_eq,
     right_divide,
 )
-from .scalar import Backend, CIRCLE_QUARTER, CirclePoint, EXACT, Scalar, double_angle
+from .scalar import Backend, CIRCLE_QUARTER, CirclePoint, EXACT, Scalar, cleared, double_angle
 
 
 class FrameError(ValueError):
@@ -260,19 +261,26 @@ def _relation_failures(left, images, table, n, backend: Backend, rows=range(8)):
 
     a and b run over one basis, with ``table`` giving a_i * b_j =
     sign * n**power * b_k.  ``left[i]`` = g(a_i) and ``images[j]`` = h(b_j)
-    are multiplied out; the right side is read off ``images[k]``.
+    are multiplied out; the right side is read off ``images[k]``.  Each
+    operand is cleared once, g(a_i) = A_i/s_i and h(b_j) = H_j/s_j with
+    n = nn/ns, and the relation is decided on the cross-products
+    (A_i H_j) * s_k * ns**power == sign * nn**power * s_i * s_j * H_k.  On
+    floats every scale is 1 and the signs are exact, so the comparisons
+    see the same values as on the product and the signed, scaled image.
     """
-    scaled = (images, [v.scale(n) for v in images])
-
-    def image(sign, k, power):
-        return scaled[power][k] if sign > 0 else -scaled[power][k]
-
-    return tuple(
-        (i, j)
-        for i in rows
-        for j in range(8)
-        if not oct_eq(mul(left[i], images[j]), image(*table[i][j]), backend)
-    )
+    rights = [v.cleared for v in images]
+    (nn,), ns = cleared([n])
+    failures = []
+    for i in rows:
+        an, si = left[i].cleared
+        for j, (bn, sj) in enumerate(rights):
+            sign, k, power = table[i][j]
+            hk, sk = rights[k]
+            lscale, rscale = sk * ns**power, sign * nn**power * si * sj
+            prod = mul_numerators(an, bn)
+            if not all(backend.eq(c * lscale, rscale * h) for c, h in zip(prod, hk)):
+                failures.append((i, j))
+    return tuple(failures)
 
 
 def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:

@@ -158,6 +158,15 @@ def ref_solve_linear(a_rows, b_rows):
     return x
 
 
+def ref_cayley_columns(a, cols):
+    """The Cayley systems set up entry by entry from A's Fractions."""
+    if any(a.rows[i][j] != -a.rows[j][i] for i in range(8) for j in range(8)):
+        raise ValueError("matrix must be antisymmetric")
+    plus = [[int(i == j) + a.rows[i][j] for j in range(8)] for i in range(8)]
+    minus = [[int(i == j) - a.rows[i][j] for j in cols] for i in range(8)]
+    return tuple(map(Octonion, zip(*solve_linear(plus, minus))))
+
+
 @pytest.mark.parametrize("support", [SUBSPACE_COORDS["R7"], SUBSPACE_COORDS["R5"], range(8)])
 def test_solve_linear_and_cayley_columns_match_reference(support):
     for k in range(100):
@@ -169,6 +178,7 @@ def test_solve_linear_and_cayley_columns_match_reference(support):
         cols = (support[0], support[1], 0)
         got = cayley_columns(a, cols)
         assert repr(got) == repr(tuple(Octonion(tuple(row[c] for row in want)) for c in cols))
+        assert repr(got) == repr(ref_cayley_columns(a, cols))
 
 
 def test_solve_linear_matches_reference_with_row_swaps():
@@ -211,6 +221,13 @@ def test_cayley_requires_antisymmetry():
     rows[1][2] = F(1)
     with pytest.raises(ValueError):
         cayley_orthogonal(Matrix8.from_rows(rows))
+    # entries over different denominators, compared on the cleared rows
+    rows[1][2], rows[2][1] = F(1, 2), F(-1, 3)
+    with pytest.raises(ValueError):
+        cayley_columns(Matrix8.from_rows(rows), (1, 2))
+    rows[2][1], rows[3][4], rows[4][3] = F(-1, 2), F(2, 3), F(-2, 3)
+    a = Matrix8.from_rows(rows)
+    assert repr(cayley_columns(a, (1, 2))) == repr(ref_cayley_columns(a, (1, 2)))
 
 
 def test_cayley_outputs_are_special_orthogonal():

@@ -1,13 +1,15 @@
 """The cleared-numerator kernels against the plain formulas they replace.
 
-``compose``, ``apply``, ``mul``, ``inner`` and ``plane_rotation`` work on the
-integer numerators of ``scalar.cleared`` and build each entry once with
-``scalar.quotient``.  The references below are the direct Fraction/float
-formulas: on exact inputs the kernels must give the same values as reduced
-Fractions, and on float inputs (mixed with int basis entries, Fractions and
-int zeros) the same bits.
+``compose``, ``apply``, ``mul``, ``right_divide``, ``inner`` and
+``plane_rotation`` work on the integer numerators of ``scalar.cleared``, kept
+per object as ``Octonion.cleared`` and ``Matrix8.cleared_rows``, and build
+each entry once with ``scalar.quotient``.  The references below are the
+direct Fraction/float formulas: on exact inputs the kernels must give the
+same values as reduced Fractions, and on float inputs (mixed with int basis
+entries, Fractions and int zeros) the same bits.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -16,7 +18,7 @@ import pytest
 
 from octospin import octonion
 from octospin.geometry import Matrix8, OrientedPlane, apply, compose, plane_rotation
-from octospin.octonion import Octonion, inner, mul, norm_sq, right_divide
+from octospin.octonion import Octonion, conj, inner, mul, norm_sq, right_divide
 from octospin.scalar import (
     EXACT,
     CirclePoint,
@@ -59,6 +61,11 @@ def ref_mul(a, b):
 
 def ref_inner(a, b):
     return sum(x * y for x, y in zip(a.coords, b.coords))
+
+
+def ref_right_divide(a, u):
+    n = ref_inner(u, u)
+    return Octonion(tuple(c / n for c in ref_mul(a, conj(u)).coords))
 
 
 def ref_plane_rotation(p, t):
@@ -128,6 +135,7 @@ def test_exact_kernels_match_plain_formulas(bits):
         _assert_exact_equal(apply(a, x), ref_apply(a, x))
         _assert_exact_equal(mul(x, y), ref_mul(x, y))
         _assert_exact_equal(inner(x, y), ref_inner(x, y))
+        _assert_exact_equal(right_divide(x, y), ref_right_divide(x, y))
         p = _exact_plane(rng, bits)
         t = circle_from_parameter(F(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)))
         _assert_exact_equal(plane_rotation(p, t), ref_plane_rotation(p, t))
@@ -218,6 +226,8 @@ def test_float_kernels_are_bit_identical_to_plain_formulas():
         _assert_same_bits(mul(x, y), ref_mul(x, y))
         _assert_same_bits(mul(y, x), ref_mul(y, x))
         _assert_same_bits(inner(x, y), ref_inner(x, y))
+        _assert_same_bits(right_divide(x, y), ref_right_divide(x, y))
+        _assert_same_bits(right_divide(y, x), ref_right_divide(y, x))
     for _ in range(20):
         p = _float_plane(rng)
         c = rng.uniform(-1, 1)
@@ -254,6 +264,24 @@ def test_cleared_representations():
     assert cleared(floats) == (floats, 1.0) and cleared(floats)[0] is floats
     mixed = (F(1), 0, 2.5)
     assert cleared(mixed)[0] is mixed
+
+
+def test_cleared_form_is_kept_per_object_and_is_not_a_field():
+    rng = random.Random("kernels|cached")
+    octonions = [_exact_octonion(rng, 16), _float_octonion(rng), Octonion.basis(3)]
+    matrices = [_exact_matrix(rng, 16), _float_matrix(rng), Matrix8.identity()]
+    for x in octonions:
+        fresh = Octonion(x.coords)
+        assert x.cleared == cleared(x.coords) and x.cleared is x.cleared
+        assert fresh == x and hash(fresh) == hash(x) and repr(fresh) == repr(x)
+    for a in matrices:
+        fresh = Matrix8(a.rows)
+        nums, scale = cleared([e for row in a.rows for e in row])
+        assert a.cleared_rows == ([nums[i:i + 8] for i in range(0, 64, 8)], scale)
+        assert a.cleared_rows is a.cleared_rows
+        assert fresh == a and hash(fresh) == hash(a) and repr(fresh) == repr(a)
+    assert [f.name for f in dataclasses.fields(Octonion)] == ["coords"]
+    assert [f.name for f in dataclasses.fields(Matrix8)] == ["rows"]
 
 
 def test_quotient_int_scale_gives_reduced_fractions():

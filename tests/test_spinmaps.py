@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from octospin import spinmaps
 from octospin.geometry import (
     Matrix8,
     OrientedPlane,
@@ -313,3 +314,112 @@ def test_spin8_map():
     assert mat_eq(matrix, Matrix8.identity())
     with pytest.raises(ValueError):
         spin8_map(p7, t, p5, T35, E[0].scale(F(2)))
+
+
+# --- the relation loop against the Fraction-building loop it replaced ---------
+
+
+def ref_relation_failures(left, images, table, n, backend, rows=range(8)):
+    """Multiply each pair out with ``mul`` and compare it with the signed,
+    scaled image by ``oct_eq``."""
+    scaled = (images, [v.scale(n) for v in images])
+
+    def image(sign, k, power):
+        return scaled[power][k] if sign > 0 else -scaled[power][k]
+
+    return tuple(
+        (i, j)
+        for i in rows
+        for j in range(8)
+        if not oct_eq(mul(left[i], images[j]), image(*table[i][j]), backend)
+    )
+
+
+@pytest.fixture
+def relation_calls(monkeypatch):
+    """Every call of the relation loop also runs the reference and asserts the
+    same pairs; the list collects the pairs of each call."""
+    calls = []
+    loop = spinmaps._relation_failures
+
+    def checked(*args, **kwargs):
+        got = loop(*args, **kwargs)
+        assert got == ref_relation_failures(*args, **kwargs)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(spinmaps, "_relation_failures", checked)
+    return calls
+
+
+FLOAT = FloatBackend(1e-9)
+
+
+def _on(backend, *values):
+    """The values with their scalars in the backend (planes, circle points, matrices)."""
+    return [v.map_scalars(backend.from_fraction) for v in values]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_relation_loop_matches_reference_on_members(relation_calls, backend):
+    for k in range(3):
+        p, t = _on(backend, *rand_inputs(k))
+        p5, t2 = _on(backend, *rand_inputs(k, "R5"))
+        for gt in (f7(p, t, None, backend), f5(p5, t2, backend), f7xf5(p, t, p5, t2, backend)):
+            assert verify_spin7(gt, backend).is_member
+    assert len(relation_calls) == 9 and not any(relation_calls)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_relation_loop_matches_reference_on_rotations_and_center(relation_calls, backend):
+    rotations = _on(backend, plane_rotation(OrientedPlane(E[0], E[1]), CIRCLE_QUARTER),
+                    plane_rotation(P12, T35), h70(*rand_inputs(1), *rand_inputs(1, "R5")))
+    for gt in rotations:
+        assert not verify_spin7(gt, backend).is_member
+    assert verify_spin7(-Matrix8.identity(), backend).is_member
+    assert all(relation_calls[:3]) and relation_calls[3] == ()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_relation_loop_matches_reference_when_norm_w_is_not_one(relation_calls, backend):
+    for w in (E[4].scale(F(2)), E[4].scale(F(-3, 7)) + E[6].scale(F(3, 7))):
+        p, w = _on(backend, P12, w)
+        frame = basis_b(p, w, backend)
+        assert frame.norm_w != 1 and frame_table(frame, backend) == ()
+    for k in range(3):
+        p, t = _on(backend, *rand_inputs(k))
+        assert triality_check(p, t, backend).explicit_case_ok
+    # two frame tables, then a pair and a half-turn check per triality
+    assert len(relation_calls) == 8 and not any(relation_calls)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_relation_loop_matches_reference_on_a_flipped_frame_table(
+    relation_calls, monkeypatch, backend
+):
+    table = [list(row) for row in FRAME_TABLE]
+    sign, k, power = table[5][6]
+    table[5][6] = (-sign, k, power)
+    monkeypatch.setattr(spinmaps, "FRAME_TABLE", tuple(map(tuple, table)))
+    p, w = _on(backend, P12, E[4].scale(F(2)))
+    assert (5, 6) in frame_table(basis_b(p, w, backend), backend)
+    p, t = _on(backend, *rand_inputs(2))
+    triality_check(p, t, backend)
+    assert all(relation_calls)
+
+
+def test_relation_loop_matches_reference_at_a_tight_float_tolerance(relation_calls):
+    """At epsilon 1e-15 rounding makes some float members fail pairs that
+    the exact run passes; the two loops must still agree pair for pair."""
+    tight = FloatBackend(1e-15)
+    for k in range(6):
+        p, t = rand_inputs(k)
+        verify_spin7(f7(p, t))
+        pf, tf = _on(tight, p, t)
+        verify_spin7(f7(pf, tf, None, tight), tight)
+        triality_check(pf, tf, tight)
+    # per k: one exact membership call, then three tight calls
+    assert len(relation_calls) == 24
+    exact = relation_calls[0::4]
+    tight_calls = [pairs for i, pairs in enumerate(relation_calls) if i % 4]
+    assert not any(exact) and any(tight_calls)
