@@ -13,25 +13,30 @@ plane generator; the solve behind it is fraction-free, on integer rows.
 
 ``compose``, ``apply`` and ``plane_rotation`` multiply and sum the numerators
 of ``scalar.cleared`` (ints over one int scale per operand on the exact
-backend, the floats themselves with scale 1.0 on floats) and build each entry
-once by ``scalar.quotient`` over the product of the scales, so exact results
-are reduced Fractions and float bits are unchanged.  A matrix keeps its
-cleared form, ``Matrix8.cleared_rows``, as an octonion keeps
-``Octonion.cleared``: computed on first use, once per object.  The Cayley
+backend, the floats themselves with scale 1.0 on floats) and return them over
+the product of the scales through ``Matrix8.scaled`` / ``Octonion.scaled``.
+An exact result holds only that pair, reduced by one gcd to the cleared form
+of its reduced Fractions, and builds its entries with ``scalar.quotient`` on
+first read; float results are divided at once, so float bits are unchanged.
+A matrix keeps its cleared form, ``Matrix8.cleared_rows``, as an octonion
+keeps ``Octonion.cleared``: once per object.  ``transpose`` and ``column``
+hand the numerators on, and ``mat_eq`` compares them crosswise.  The Cayley
 systems are set up on A's cleared rows N over d, as d*I + N and d*I - N.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, Tuple
 
 from .octonion import Octonion, Vector8, inner, mul, norm_sq
-from .scalar import Backend, EXACT, Scalar, cleared, derived_rng, quotient
+from .scalar import Backend, EXACT, Scalar, cleared, cleared_eq, derived_rng, quotient
 
 
 class PlaneError(ValueError):
@@ -69,7 +74,12 @@ def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> Scalar:
 
 @dataclass(frozen=True)
 class Matrix8:
-    """8x8 matrix, row-major, generic over the scalar backend."""
+    """8x8 matrix, row-major, generic over the scalar backend.
+
+    A matrix from ``scaled`` holds only its cleared form until ``rows`` is
+    first read; equality, hashing and repr read ``rows``, so they see the
+    same values as for a matrix built from them.
+    """
 
     rows: Tuple[Tuple[Scalar, ...], ...]
 
@@ -85,10 +95,43 @@ class Matrix8:
             raise ValueError("matrix needs 8x8 entries")
         return Matrix8(rows)
 
+    @staticmethod
+    def scaled(nums, scale) -> "Matrix8":
+        """The matrix with entries nums[i][j] / scale, for a kernel result.
+
+        On an int scale the pair is divided by the gcd of the scale and all
+        64 numerators, which makes it the cleared form of the reduced
+        Fractions, and kept as ``cleared_rows``; the rows are built on first
+        read.  A float scale is divided out at once, as by ``quotient``.
+        """
+        if type(scale) is not int:
+            return Matrix8(tuple(tuple([x / scale for x in row]) for row in nums))
+        g = math.gcd(scale, *chain.from_iterable(nums))
+        if g != 1:
+            nums, scale = [[x // g for x in row] for row in nums], scale // g
+        return _from_cleared(nums, scale)
+
+    def __getattr__(self, name):
+        """Build ``rows`` of a ``scaled`` matrix on first read."""
+        if name != "rows" or "cleared_rows" not in self.__dict__:
+            raise AttributeError(name)
+        nums, scale = self.__dict__["cleared_rows"]
+        rows = tuple(tuple(quotient(x, scale) for x in row) for row in nums)
+        self.__dict__["rows"] = rows
+        return rows
+
     def column(self, j: int) -> Vector8:
-        return Octonion(tuple(self.rows[i][j] for i in range(8)))
+        nums, scale = self.cleared_rows
+        if type(scale) is int:
+            return Octonion.scaled([row[j] for row in nums], scale)
+        return Octonion(tuple(row[j] for row in self.rows))
 
     def transpose(self) -> "Matrix8":
+        """The transpose; an exact matrix passes its numerators on, transposed,
+        over the same scale, so neither entries nor a clearing are redone."""
+        nums, scale = self.cleared_rows
+        if type(scale) is int:
+            return _from_cleared([list(col) for col in zip(*nums)], scale)
         return Matrix8(tuple(zip(*self.rows)))
 
     def __neg__(self) -> "Matrix8":
@@ -105,6 +148,13 @@ class Matrix8:
         return [nums[i:i + 8] for i in range(0, 64, 8)], scale
 
 
+def _from_cleared(nums, scale) -> Matrix8:
+    """A matrix holding the cleared form (nums, scale), already in lowest terms."""
+    m = object.__new__(Matrix8)
+    m.__dict__["cleared_rows"] = (nums, scale)
+    return m
+
+
 #: The identity in ints, which subtract exactly from Fractions and floats alike.
 _IDENTITY = Matrix8(tuple(tuple(int(i == j) for j in range(8)) for i in range(8)))
 
@@ -112,26 +162,22 @@ _IDENTITY = Matrix8(tuple(tuple(int(i == j) for j in range(8)) for i in range(8)
 def compose(a: Matrix8, b: Matrix8) -> Matrix8:
     """Matrix product a*b (apply b first, then a), on cleared numerators."""
     (rows, sa), (brows, sb) = a.cleared_rows, b.cleared_rows
-    scale = sa * sb
     cols = tuple(zip(*brows))
-    return Matrix8(tuple(
-        tuple(quotient(sum(map(operator.mul, row, col)), scale) for col in cols) for row in rows
-    ))
+    return Matrix8.scaled(
+        [[sum(map(operator.mul, row, col)) for col in cols] for row in rows], sa * sb
+    )
 
 
 def apply(a: Matrix8, z: Vector8) -> Vector8:
     """Matrix-vector product, on cleared numerators."""
     (rows, sa), (zn, sz) = a.cleared_rows, z.cleared
-    scale = sa * sz
-    return Octonion(tuple(quotient(sum(map(operator.mul, row, zn)), scale) for row in rows))
+    return Octonion.scaled([sum(map(operator.mul, row, zn)) for row in rows], sa * sz)
 
 
 def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
-    return all(
-        backend.eq(x, y)
-        for ra, rb in zip(a.rows, b.rows)
-        for x, y in zip(ra, rb)
-    )
+    """Entrywise equality for the backend, on the cleared numerators."""
+    (an, sa), (bn, sb) = a.cleared_rows, b.cleared_rows
+    return cleared_eq(chain.from_iterable(an), sa, chain.from_iterable(bn), sb, backend)
 
 
 def max_abs_diff(a: Matrix8, b: Matrix8) -> Scalar:
@@ -175,8 +221,16 @@ class SOReport:
 
 
 def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
-    """Max-abs entry of M^T M - I, the determinant, and the verdict."""
-    residual = max_abs_diff(compose(m.transpose(), m), _IDENTITY)
+    """Max-abs entry of M^T M - I, the determinant, and the verdict.
+
+    The residual is taken on the cleared numerators N / s of M^T M, as
+    max |N - s I| / s, so the product's entries are never built.
+    """
+    nums, s = compose(m.transpose(), m).cleared_rows
+    residual = quotient(
+        max([0] + [abs(x - s * (i == j)) for i, row in enumerate(nums) for j, x in enumerate(row)]),
+        s,
+    )
     det = determinant(m)
     ok = backend.is_zero(residual) and backend.eq(det, 1)
     return SOReport(residual, det, ok)
@@ -189,8 +243,8 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     I + ((c-1)/N)(u u^T + v v^T) + (s/N)(v u^T - u v^T); it sends
     u -> c*u + s*v and v -> -s*u + c*v and is special orthogonal.  The
     entries are computed on the cleared numerators of the two coefficients
-    and of u and v together, each built once by ``quotient`` (the identity
-    adds the scale to the diagonal numerators).
+    and of u and v together, and ``scaled`` over the product of their
+    scales (the identity adds the scale to the diagonal numerators).
     """
     n = check_plane(p, backend)
     (a, b), sab = cleared([(t.c - 1) / n, t.s / n])
@@ -202,9 +256,9 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
         row = []
         for j in range(8):
             num = a * (u[i] * u[j] + v[i] * v[j]) + b * (v[i] * u[j] - u[i] * v[j])
-            row.append(quotient(num + scale if i == j else num, scale))
-        rows.append(tuple(row))
-    return Matrix8(tuple(rows))
+            row.append(num + scale if i == j else num)
+        rows.append(row)
+    return Matrix8.scaled(rows, scale)
 
 
 def rotate_plane_basis(p: OrientedPlane, s) -> OrientedPlane:
@@ -305,14 +359,18 @@ def project_out(a: Vector8, span: Sequence[Vector8]) -> Vector8:
 
 
 def choose_w(p: OrientedPlane, backend: Backend = EXACT) -> Vector8:
-    """Deterministic vector orthogonal to span{e0, x, y, xy}.
-
-    Runs Gram-Schmidt on e1..e7 in order against {e0, x, y, xy} and returns
-    the first nonzero residual, unnormalized (the complement has dimension
-    four, so one of the seven candidates always survives).
-    """
+    """Deterministic vector orthogonal to span{e0, x, y, xy}: the
+    ``complement_vector`` of the plane [x, y] and its product."""
     x, y = p.u, p.v
-    span = [Octonion.basis(0), x, y, mul(x, y)]
+    return complement_vector(x, y, mul(x, y), backend)
+
+
+def complement_vector(x: Vector8, y: Vector8, xy: Vector8, backend: Backend = EXACT) -> Vector8:
+    """Gram-Schmidt on e1..e7 in order against {e0, x, y, xy}, for a product
+    xy already at hand; returns the first nonzero residual, unnormalized (the
+    complement has dimension four, so one of the seven candidates survives).
+    """
+    span = [Octonion.basis(0), x, y, xy]
     for i in range(1, 8):
         w = project_out(Octonion.basis(i), span)
         if not backend.is_zero(norm_sq(w)):

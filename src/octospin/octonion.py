@@ -14,15 +14,19 @@ e4*e3 = -e7, under which the algebra is alternative and norm-multiplicative
 Each octonion keeps its ``scalar.cleared`` form, ``Octonion.cleared``
 (Python ints over one int denominator on the exact backend, the floats
 themselves with scale 1.0 on floats), computed once per object.
-``mul_numerators`` is the one Fano product loop on those numerators;
-``mul``, ``right_divide`` and ``inner`` build each result once by
-``scalar.quotient``, and the relation loop of :mod:`octospin.spinmaps`
-compares its products as integer cross-products.  The basis octonions and
-zero hold Python ints, which mix exactly with Fractions and floats alike.
+``mul_numerators`` is the one Fano product loop on those numerators.
+``mul`` and ``right_divide`` return ``Octonion.scaled``: on exact operands
+the result holds only its reduced cleared form, and its ``coords`` are built
+on first read, so a product that only feeds the next kernel never becomes
+Fractions.  ``oct_eq`` compares cleared numerators crosswise, and the
+relation loop of :mod:`octospin.spinmaps` compares its products as integer
+cross-products.  The basis octonions and zero hold Python ints, which mix
+exactly with Fractions and floats alike.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .scalar import Backend, EXACT, Scalar, cleared, quotient, random_rational
+from .scalar import Backend, EXACT, Scalar, cleared, cleared_eq, quotient, random_rational
 
 FANO_CYCLES: Tuple[Tuple[int, int, int], ...] = (
     (1, 2, 3),
@@ -66,13 +70,44 @@ FANO_SIGN, FANO_INDEX = _build_tables()
 
 @dataclass(frozen=True)
 class Octonion:
-    """An octonion (equivalently, a vector of R^8) as 8 scalar coordinates."""
+    """An octonion (equivalently, a vector of R^8) as 8 scalar coordinates.
+
+    An octonion from ``scaled`` holds only its cleared form until
+    ``coords`` is first read; equality, hashing and repr read ``coords``,
+    so they see the same values as for an octonion built from them.
+    """
 
     coords: Tuple[Scalar, ...]
 
     def __post_init__(self):
         if len(self.coords) != 8:
             raise ValueError("octonion needs exactly 8 coordinates")
+
+    @staticmethod
+    def scaled(nums, scale) -> "Octonion":
+        """The octonion with coordinates nums[i] / scale, for a kernel result.
+
+        On an int scale the pair is divided by ``gcd(scale, *nums)``, which
+        makes it ``scalar.cleared`` of the reduced Fractions, and kept as
+        ``cleared``; the coordinates are built on first read.  A float scale
+        is divided out at once, as ``quotient`` would.
+        """
+        if type(scale) is not int:
+            return Octonion(tuple([x / scale for x in nums]))
+        g = math.gcd(scale, *nums)
+        if g != 1:
+            nums, scale = [x // g for x in nums], scale // g
+        a = object.__new__(Octonion)
+        a.__dict__["cleared"] = (nums, scale)
+        return a
+
+    def __getattr__(self, name):
+        """Build ``coords`` of a ``scaled`` octonion on first read."""
+        if name != "coords" or "cleared" not in self.__dict__:
+            raise AttributeError(name)
+        nums, scale = self.__dict__["cleared"]
+        coords = self.__dict__["coords"] = tuple(quotient(x, scale) for x in nums)
+        return coords
 
     @cached_property
     def cleared(self):
@@ -129,17 +164,21 @@ def mul_numerators(an, bn) -> list:
 def mul(a: Octonion, b: Octonion) -> Octonion:
     """Octonion product, the bilinear extension of the basis table.
 
-    Multiplies the cleared numerators of a and b and builds each coordinate
-    once, over the product of the two scales.
+    Multiplies the cleared numerators of a and b; the result is ``scaled``
+    over the product of the two scales.
     """
     (an, sa), (bn, sb) = a.cleared, b.cleared
-    scale = sa * sb
-    return Octonion(tuple(quotient(c, scale) for c in mul_numerators(an, bn)))
+    return Octonion.scaled(mul_numerators(an, bn), sa * sb)
+
+
+def conj_numerators(an) -> list:
+    """Negate the imaginary part of a coordinate (or numerator) list."""
+    return [an[0]] + [-c for c in an[1:]]
 
 
 def conj(a: Octonion) -> Octonion:
     """Conjugation: negate the imaginary part."""
-    return Octonion((a.coords[0],) + tuple(-c for c in a.coords[1:]))
+    return Octonion(tuple(conj_numerators(a.coords)))
 
 
 def inner(a: Octonion, b: Octonion) -> Scalar:
@@ -156,19 +195,20 @@ def right_divide(a: Octonion, u: Octonion, backend: Backend = EXACT) -> Octonion
     """The unique b with b*u = a, namely a*conj(u) / |u|^2.
 
     Raises ZeroDivisionError when |u|^2 is zero for the backend (within its
-    tolerance on floats).  Each coordinate is built once, over the product
-    of the two scales and |u|^2.
+    tolerance on floats).  With |u|^2 cleared to nn/ns, the quotient is the
+    product of the numerators times ns, ``scaled`` over sa * sc * nn.
     """
-    n = norm_sq(u)
-    if backend.is_zero(n):
+    (an, sa), (un, su) = a.cleared, u.cleared
+    nn, ns = sum(map(operator.mul, un, un)), su * su
+    if backend.is_zero(quotient(nn, ns)):
         raise ZeroDivisionError("division by the zero octonion")
-    (an, sa), (cn, sc) = a.cleared, conj(u).cleared
-    scale = sa * sc * n
-    return Octonion(tuple(quotient(c, scale) for c in mul_numerators(an, cn)))
+    cn, sc = conj(u).cleared
+    return Octonion.scaled([c * ns for c in mul_numerators(an, cn)], sa * sc * nn)
 
 
 def oct_eq(a: Octonion, b: Octonion, backend: Backend = EXACT) -> bool:
-    return all(backend.eq(x, y) for x, y in zip(a.coords, b.coords))
+    """Coordinatewise equality for the backend, on the cleared numerators."""
+    return cleared_eq(*a.cleared, *b.cleared, backend)
 
 
 def random_octonion(rng: random.Random, imaginary: bool = False) -> Octonion:

@@ -8,10 +8,11 @@ other modules is generic over the scalar type; a computation stays inside
 whichever backend its inputs came from.
 
 The product kernels sum ``cleared`` numerators (ints over an int scale on
-exact operands) and build each result once with ``quotient``.  Octonions and
-matrices keep their cleared form per object (``Octonion.cleared``,
-``Matrix8.cleared_rows``), and the relation g(a) g~(b) = g~(a*b) is decided
-on integer cross-products of those numerators, without building a Fraction.
+exact operands).  Octonions and matrices keep their cleared form per object
+(``Octonion.cleared``, ``Matrix8.cleared_rows``); a kernel result holds only
+that form, reduced, and builds its values with ``quotient`` on first read.
+Equality (``cleared_eq``) and the relation g(a) g~(b) = g~(a*b) are decided
+on cross-products of the numerators, without building a Fraction.
 
 Rotation angles are never stored as radians.  A rotation parameter is a
 point (c, s) on the unit circle, so identities involving cos and sin reduce
@@ -111,8 +112,28 @@ def cleared(values):
 
 
 def quotient(n, scale):
-    """n / scale as the reduced ``Fraction(n, scale)`` on an int scale, else ``n / scale``."""
+    """n / scale as the reduced ``Fraction(n, scale)`` on an int scale, else ``n / scale``.
+
+    Kernel results call it once per entry, when the entry is first read.
+    """
     return Fraction(n, scale) if type(scale) is int else n / scale
+
+
+def cleared_eq(xs, sa, ys, sb, backend) -> bool:
+    """Whether xs[i] / sa equals ys[i] / sb for every i, for the backend.
+
+    With both scales 1 the numerators are the values (floats have scale 1.0
+    and keep their own values; rationals over 1 are their integers), so they
+    are compared as they are.  Int scales on the exact backend are compared
+    crosswise, xs[i] * sb against ys[i] * sa, on ints.  Any other pair, such
+    as rationals over another scale on the float backend, whose tolerance is
+    not scale-invariant, is compared as values.
+    """
+    if sa == sb == 1:
+        return all(map(backend.eq, xs, ys))
+    if isinstance(backend, ExactBackend) and type(sa) is type(sb) is int:
+        return all(x * sb == y * sa for x, y in zip(xs, ys))
+    return all(backend.eq(quotient(x, sa), quotient(y, sb)) for x, y in zip(xs, ys))
 
 
 def make_backend(name: str, epsilon: float = 1e-9) -> Backend:

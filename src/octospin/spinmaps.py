@@ -34,7 +34,7 @@ from .geometry import (
     PlaneError,
     apply,
     check_plane,
-    choose_w,
+    complement_vector,
     compose,
     plane_rotation,
     serialize_matrix,
@@ -45,13 +45,22 @@ from .octonion import (
     FANO_SIGN,
     Octonion,
     Vector8,
+    conj_numerators,
     mul,
     mul_numerators,
     norm_sq,
     oct_eq,
-    right_divide,
 )
-from .scalar import Backend, CIRCLE_QUARTER, CirclePoint, EXACT, Scalar, cleared, double_angle
+from .scalar import (
+    Backend,
+    CIRCLE_QUARTER,
+    CirclePoint,
+    EXACT,
+    Scalar,
+    cleared,
+    double_angle,
+    quotient,
+)
 
 
 class FrameError(ValueError):
@@ -79,34 +88,37 @@ def basis_b(
     """Build and validate the frame spanned by the plane [x, y] and w.
 
     w defaults to ``choose_w(p)``, chosen after the plane passes
-    ``check_plane`` (which raises PlaneError first).  Every other contract is
+    ``check_plane`` (which raises PlaneError first) from the same product
+    x*y that becomes the frame element.  Every other contract is
     read off one Gram matrix E E^T, E having the frame elements as rows, and
     raises FrameError: N = |w|^2 must be nonzero (the Gram cannot see w = 0);
     the 28 pairwise inner products must vanish, taken column by column so the
     first failure names the later element (a real part of x fails against e0,
     a w inside span{e0, x, y, xy} against that span); the first four norms
-    must be 1 and the last four N.
+    must be 1 and the last four N.  The Gram entries are read off its cleared
+    numerators; only the tested ones become values.
     """
     check_plane(p, backend)
-    if w is None:
-        w = choose_w(p, backend)
     x, y = p.u, p.v
     xy = mul(x, y)
+    if w is None:
+        w = complement_vector(x, y, xy, backend)
     elements = (Octonion.basis(0), x, y, xy, w, mul(w, x), mul(w, y), mul(w, xy))
     e = Matrix8(tuple(el.coords for el in elements))
-    gram = compose(e, e.transpose()).rows
-    nw = gram[4][4]
+    gram, scale = compose(e, e.transpose()).cleared_rows
+    nw = quotient(gram[4][4], scale)
     if backend.is_zero(nw):
         raise FrameError("w must be nonzero")
     for j in range(8):
         for i in range(j):
-            if not backend.is_zero(gram[i][j]):
+            # a zero numerator is zero on either backend
+            if gram[i][j] and not backend.is_zero(quotient(gram[i][j], scale)):
                 raise FrameError(
                     f"frame elements {FRAME_NAMES[i]} and {FRAME_NAMES[j]} "
                     "are not orthogonal"
                 )
     for i in range(8):
-        if not backend.eq(gram[i][i], 1 if i < 4 else nw):
+        if not backend.eq(quotient(gram[i][i], scale), 1 if i < 4 else nw):
             raise FrameError(f"frame element {FRAME_NAMES[i]} has the wrong norm")
     return FrameB(elements, nw)
 
@@ -230,12 +242,20 @@ def project_double_cover(gt: Matrix8) -> Matrix8:
     g(a) = g~(a) * g~(e0)^-1; the matrix built column-by-column from that
     formula (with g(e0) = e0) is the canonical covering image whenever
     g~ lies in Spin(7), and the candidate tested for membership otherwise.
+
+    With g~ = G/S and |g~(e0)|^2 = nn/S^2, column i is
+    (G_i conj(G_0)) / nn: one product of numerators per column, and one
+    ``Matrix8.scaled`` over nn.  Raises ZeroDivisionError when g~(e0) is
+    exactly zero.
     """
-    ge0 = gt.column(0)
-    cols = [Octonion.basis(0)]
-    for i in range(1, 8):
-        cols.append(right_divide(gt.column(i), ge0))
-    return Matrix8(tuple(tuple(cols[j].coords[i] for j in range(8)) for i in range(8)))
+    nums, _ = gt.cleared_rows
+    cols = list(zip(*nums))
+    nn = sum(x * x for x in cols[0])
+    if not nn:
+        raise ZeroDivisionError("division by the zero octonion")
+    inv = conj_numerators(cols[0])
+    cols = [(nn,) + (0,) * 7] + [mul_numerators(c, inv) for c in cols[1:]]
+    return Matrix8.scaled([list(row) for row in zip(*cols)], nn)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 ``compose``, ``apply``, ``mul``, ``right_divide``, ``inner`` and
 ``plane_rotation`` work on the integer numerators of ``scalar.cleared``, kept
-per object as ``Octonion.cleared`` and ``Matrix8.cleared_rows``, and build
-each entry once with ``scalar.quotient``.  The references below are the
-direct Fraction/float formulas: on exact inputs the kernels must give the
-same values as reduced Fractions, and on float inputs (mixed with int basis
-entries, Fractions and int zeros) the same bits.
+per object as ``Octonion.cleared`` and ``Matrix8.cleared_rows``.  Exact
+results hold only their reduced cleared form (``Matrix8.scaled``,
+``Octonion.scaled``) and build each entry with ``scalar.quotient`` on first
+read.  The references below are the direct Fraction/float formulas: on exact
+inputs the kernels must give the same values as reduced Fractions, and on
+float inputs (mixed with int basis entries, Fractions and int zeros) the same
+bits.  ``mat_eq``, ``oct_eq`` and ``project_double_cover`` are checked against
+the entrywise and column-by-column versions they replace.
 """
 
 import dataclasses
@@ -17,9 +20,20 @@ from fractions import Fraction as F
 import pytest
 
 from octospin import octonion
-from octospin.geometry import Matrix8, OrientedPlane, apply, compose, plane_rotation
-from octospin.octonion import Octonion, conj, inner, mul, norm_sq, right_divide
+from octospin.geometry import (
+    Matrix8,
+    OrientedPlane,
+    apply,
+    compose,
+    mat_eq,
+    max_abs_diff,
+    plane_rotation,
+    random_orthonormal_pair,
+    so_check,
+)
+from octospin.octonion import Octonion, conj, inner, mul, norm_sq, oct_eq, right_divide
 from octospin.scalar import (
+    CIRCLE_HALF,
     EXACT,
     CirclePoint,
     FloatBackend,
@@ -328,3 +342,205 @@ def test_right_divide_honours_the_float_tolerance():
     assert right_divide(Octonion.basis(3), tiny_exact, EXACT) == Octonion.basis(3).scale(F(10**5))
     with pytest.raises(ZeroDivisionError):
         right_divide(Octonion.basis(3), Octonion((0,) * 8), EXACT)
+
+
+# --- results kept as numerators over one scale -------------------------------
+
+
+def ref_project_double_cover(gt):
+    """Column by column, g(e_i) = g~(e_i) * g~(e0)^-1, with g(e0) = e0."""
+    ge0 = Octonion(tuple(row[0] for row in gt.rows))
+    cols = [Octonion.basis(0)] + [
+        ref_right_divide(Octonion(tuple(row[i] for row in gt.rows)), ge0) for i in range(1, 8)
+    ]
+    return Matrix8(tuple(tuple(cols[j].coords[i] for j in range(8)) for i in range(8)))
+
+
+def _exact_results(rng, bits):
+    """(kernel result, eager reference) pairs for every kernel that returns
+    the scaled form, on exact inputs."""
+    a, b = _exact_matrix(rng, bits), _exact_matrix(rng, bits)
+    x, y = _exact_octonion(rng, bits), _exact_octonion(rng, bits)
+    p = _exact_plane(rng, bits)
+    t = circle_from_parameter(F(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits)))
+    g = f7(random_orthonormal_pair(rng.randrange(100)), t)
+    yield compose(a, b), ref_compose(a, b)
+    yield apply(a, x), ref_apply(a, x)
+    yield plane_rotation(p, t), ref_plane_rotation(p, t)
+    yield mul(x, y), ref_mul(x, y)
+    yield right_divide(x, y), ref_right_divide(x, y)
+    yield project_double_cover(g), ref_project_double_cover(g)
+    yield project_double_cover(a), ref_project_double_cover(a)
+    # all-integer operands, and results whose scale reduces to 1
+    ints = Matrix8(tuple(tuple(i * 8 + j - 30 for j in range(8)) for i in range(8)))
+    yield compose(ints, ints), ref_compose(ints, ints)
+    yield mul(Octonion.basis(3), Octonion.basis(5)), ref_mul(Octonion.basis(3), Octonion.basis(5))
+    yield compose(g, g.transpose()), Matrix8.identity()
+
+
+def _eager(x):
+    if isinstance(x, Matrix8):
+        return Matrix8(tuple(tuple(F(e) for e in row) for row in x.rows))
+    return Octonion(tuple(F(e) for e in x.coords))
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+def test_exact_results_hold_the_reduced_cleared_form_until_read(bits):
+    rng = random.Random(f"kernels|scaled|{bits}")
+    for _ in range(3):
+        for got, want in _exact_results(rng, bits):
+            field = "rows" if isinstance(got, Matrix8) else "coords"
+            assert field not in vars(got)
+            form = got.cleared_rows if isinstance(got, Matrix8) else got.cleared
+            scale = form[1]
+            assert type(scale) is int and scale > 0
+            nums, den = cleared(_entries(want))
+            flat = [n for row in form[0] for n in row] if isinstance(got, Matrix8) else form[0]
+            assert (flat, scale) == (nums, den)
+            eager = _eager(want)
+            assert got == eager and eager == got
+            assert hash(got) == hash(eager) and repr(got) == repr(eager)
+            assert field in vars(got)
+            _assert_exact_equal(got, want)
+
+
+def test_transpose_and_column_pass_the_numerators_on():
+    g = f7(random_orthonormal_pair(5), circle_from_parameter(F(2, 11)))
+    assert "rows" not in vars(g)
+    gt = g.transpose()
+    nums, scale = g.cleared_rows
+    assert gt.cleared_rows == ([list(col) for col in zip(*nums)], scale)
+    assert "rows" not in vars(g) and "rows" not in vars(gt)
+    assert gt == Matrix8(tuple(zip(*g.rows)))
+    for j in range(8):
+        col = g.column(j)
+        assert "coords" not in vars(col)
+        assert col.cleared == cleared([row[j] for row in g.rows])
+        assert col == Octonion(tuple(row[j] for row in g.rows))
+    # an eagerly built exact matrix transposes to the same values
+    a = _exact_matrix(random.Random("kernels|transpose"), 16)
+    assert a.transpose() == Matrix8(tuple(zip(*a.rows)))
+    assert a.transpose().transpose() == a
+
+
+def test_float_results_are_values_over_one():
+    rng = random.Random("kernels|scaled|float")
+    for a, b, x, y in _float_cases(rng):
+        pairs = [
+            (compose(a, b), ref_compose(a, b)),
+            (apply(a, x), ref_apply(a, x)),
+            (mul(x, y), ref_mul(x, y)),
+            (right_divide(x, y), ref_right_divide(x, y)),
+            (a.transpose(), Matrix8(tuple(zip(*a.rows)))),
+        ]
+        if isinstance(a.rows[0][0], float):
+            pairs.append((project_double_cover(a), ref_project_double_cover(a)))
+        for got, want in pairs:
+            _assert_same_bits(got, want)
+            if isinstance(got, Matrix8):
+                nums, scale = got.cleared_rows
+                assert ([e for row in nums for e in row], scale) == (_entries(got), 1.0)
+            else:
+                assert got.cleared == (got.coords, 1.0)
+
+
+def test_project_double_cover_keeps_the_exact_zero_error():
+    zero_first = Matrix8(tuple((0,) + tuple(F(i + j, 3) for j in range(7)) for i in range(8)))
+    with pytest.raises(ZeroDivisionError):
+        project_double_cover(zero_first)
+    with pytest.raises(ZeroDivisionError):
+        project_double_cover(zero_first.map_scalars(float))
+    # a float first column below the tolerance is still divided by
+    tiny = Matrix8(tuple((1e-7 if i == 0 else 0.0,) + (0.5,) * 7 for i in range(8)))
+    _assert_same_bits(project_double_cover(tiny), ref_project_double_cover(tiny))
+
+
+def test_so_check_residual_matches_max_abs_diff():
+    rng = random.Random("kernels|so-check")
+    g = f7(random_orthonormal_pair(2), circle_from_parameter(F(5, 3)))
+    exact = [g, Matrix8.identity(), -Matrix8.identity(), _exact_matrix(rng, 8), g.transpose()]
+    for m in exact:
+        want = max_abs_diff(ref_compose(m.transpose(), m), Matrix8.identity())
+        assert so_check(m).orthogonality_residual == want
+    floats = [g.map_scalars(float), _float_matrix(rng), Matrix8.identity().map_scalars(float)]
+    for m in floats:
+        want = max_abs_diff(ref_compose(m.transpose(), m), Matrix8.identity())
+        got = so_check(m, FLOAT).orthogonality_residual
+        assert float.hex(float(got)) == float.hex(float(want))
+
+
+# --- equality on cleared numerators ------------------------------------------
+
+
+def ref_mat_eq(a, b, backend):
+    return all(backend.eq(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+
+
+def ref_oct_eq(a, b, backend):
+    return all(backend.eq(x, y) for x, y in zip(a.coords, b.coords))
+
+
+def _with_entry(m, i, j, value):
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = value
+    return Matrix8(tuple(map(tuple, rows)))
+
+
+def _equality_cases():
+    """Matrix pairs on which the entrywise verdict is true and false, on both
+    backends, with exact, float and mixed operands."""
+    rng = random.Random("kernels|eq")
+    eps = 1e-9
+    p = random_orthonormal_pair(4)
+    t = circle_from_parameter(F(3, 8))
+    g = f7(p, t)
+    gf = f7(p.map_scalars(float), t.map_scalars(float), None, FLOAT)
+    half = f7(p.map_scalars(float), CIRCLE_HALF.map_scalars(float), None, FLOAT)
+    minus = -Matrix8.identity()
+    yield half, minus
+    yield minus, half
+    yield f7(p, CIRCLE_HALF), minus
+    yield g, Matrix8(g.rows)
+    yield g, gf
+    yield gf, g.map_scalars(float)
+    yield g, g.transpose()
+    yield compose(g, g.transpose()), Matrix8.identity()
+    a = _exact_matrix(rng, 16)
+    yield a, a.map_scalars(lambda x: x + F(1, 10**12))
+    # equal numerators over different scales
+    yield Matrix8(((F(1, 3),) * 8,) * 8), Matrix8(((F(1, 5),) * 8,) * 8)
+    yield a, _with_entry(a, 3, 4, a.rows[3][4] + F(1, 10**6))
+    # just inside and just outside eps * max(1, |a|, |b|), small and large
+    for base in (0.25, 1.0, 3.0e5, -7.5e8):
+        tol = eps * max(1.0, abs(base))
+        for delta in (0.5 * tol, 0.999 * tol, 1.001 * tol, 2 * tol):
+            m = _with_entry(gf, 2, 5, base)
+            yield m, _with_entry(gf, 2, 5, base + delta)
+            yield _with_entry(g, 2, 5, F(base)), _with_entry(gf, 2, 5, base - delta)
+    for bad in (math.inf, -math.inf, math.nan):
+        yield _with_entry(gf, 0, 0, bad), gf
+        yield _with_entry(gf, 0, 0, bad), _with_entry(gf, 0, 0, bad)
+        yield Matrix8.identity(), _with_entry(Matrix8.identity().map_scalars(float), 7, 7, bad)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT, FloatBackend(1.5)], ids=["exact", "float", "eps1.5"])
+def test_mat_eq_and_oct_eq_match_the_entrywise_reference(backend):
+    verdicts = set()
+    for a, b in _equality_cases():
+        want = ref_mat_eq(a, b, backend)
+        verdicts.add(want)
+        assert mat_eq(a, b, backend) is want
+        for j in range(8):
+            x, y = a.column(j), b.column(j)
+            assert oct_eq(x, y, backend) is ref_oct_eq(x, y, backend)
+    assert verdicts == {True, False}
+
+
+def test_rationals_over_a_scale_compare_as_values_on_floats():
+    """The float tolerance is not scale-invariant: 1/3 against 1/3 + 3e-9
+    is within 1e-8 as values, but its numerators over the scale 3e9 are not."""
+    a = Octonion((F(1, 3),) + (0,) * 7)
+    b = Octonion((F(1, 3) + F(3, 10**9),) + (0,) * 7)
+    loose = FloatBackend(1e-8)
+    assert oct_eq(a, b, loose) and not oct_eq(a, b, FLOAT) and not oct_eq(a, b)
+    assert oct_eq(a, b, loose) is ref_oct_eq(a, b, loose)
