@@ -91,11 +91,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    needs_second = args.map in ("f7xf5", "h70", "spin8")
+    reads = {"w": args.map == "f7", "s_vector": args.map == "spin8",
+             "plane2": needs_second, "angle2": needs_second}
+    for flag, read in reads.items():
+        if getattr(args, flag) is not None and not read:
+            raise ValueError(f"map {args.map} does not take --{flag.replace('_', '-')}")
     backend = make_backend(args.backend, args.epsilon)
     plane = _parse_plane(args.plane, backend)
     angle = parse_circle_point(args.angle, backend)
     payload = {"map": args.map}
-    needs_second = args.map in ("f7xf5", "h70", "spin8")
     if needs_second:
         if args.plane2 is None or args.angle2 is None:
             raise ValueError(f"map {args.map} needs --plane2 and --angle2")

@@ -10,18 +10,6 @@ Special-orthogonal matrices with exact rational entries come from the
 Cayley transform A -> (I - A)(I + A)^-1 of random antisymmetric rational
 matrices; their columns provide exactly orthonormal frames for the random
 plane generator; the solve behind it is fraction-free, on integer rows.
-
-``compose``, ``apply`` and ``plane_rotation`` multiply and sum the numerators
-of ``scalar.cleared`` (ints over one int scale per operand on the exact
-backend, the floats themselves with scale 1.0 on floats) and return them over
-the product of the scales through ``Matrix8.scaled`` / ``Octonion.scaled``.
-An exact result holds only that pair, reduced by one gcd to the cleared form
-of its reduced Fractions, and builds its entries with ``scalar.quotient`` on
-first read; float results are divided at once, so float bits are unchanged.
-A matrix keeps its cleared form, ``Matrix8.cleared_rows``, as an octonion
-keeps ``Octonion.cleared``: once per object.  ``transpose`` and ``column``
-hand the numerators on, and ``mat_eq`` compares them crosswise.  The Cayley
-systems are set up on A's cleared rows N over d, as d*I + N and d*I - N.
 """
 
 from __future__ import annotations
@@ -109,7 +97,9 @@ class Matrix8:
         g = math.gcd(scale, *chain.from_iterable(nums))
         if g != 1:
             nums, scale = [[x // g for x in row] for row in nums], scale // g
-        return _from_cleared(nums, scale)
+        m = object.__new__(Matrix8)
+        m.__dict__["cleared_rows"] = (nums, scale)
+        return m
 
     def __getattr__(self, name):
         """Build ``rows`` of a ``scaled`` matrix on first read."""
@@ -122,17 +112,12 @@ class Matrix8:
 
     def column(self, j: int) -> Vector8:
         nums, scale = self.cleared_rows
-        if type(scale) is int:
-            return Octonion.scaled([row[j] for row in nums], scale)
-        return Octonion(tuple(row[j] for row in self.rows))
+        return Octonion.scaled([row[j] for row in nums], scale)
 
     def transpose(self) -> "Matrix8":
-        """The transpose; an exact matrix passes its numerators on, transposed,
-        over the same scale, so neither entries nor a clearing are redone."""
+        """The transpose, from the numerators transposed over the same scale."""
         nums, scale = self.cleared_rows
-        if type(scale) is int:
-            return _from_cleared([list(col) for col in zip(*nums)], scale)
-        return Matrix8(tuple(zip(*self.rows)))
+        return Matrix8.scaled([list(col) for col in zip(*nums)], scale)
 
     def __neg__(self) -> "Matrix8":
         return Matrix8(tuple(tuple(-x for x in row) for row in self.rows))
@@ -146,13 +131,6 @@ class Matrix8:
         scale, computed once per matrix; not a field, like ``Octonion.cleared``."""
         nums, scale = cleared([x for row in self.rows for x in row])
         return [nums[i:i + 8] for i in range(0, 64, 8)], scale
-
-
-def _from_cleared(nums, scale) -> Matrix8:
-    """A matrix holding the cleared form (nums, scale), already in lowest terms."""
-    m = object.__new__(Matrix8)
-    m.__dict__["cleared_rows"] = (nums, scale)
-    return m
 
 
 #: The identity in ints, which subtract exactly from Fractions and floats alike.
@@ -181,8 +159,11 @@ def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
 
 
 def max_abs_diff(a: Matrix8, b: Matrix8) -> Scalar:
-    """Largest entry-wise |a - b|; the int 0 when no entry differs."""
-    return max([0] + [abs(x - y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)])
+    """Largest entry-wise |a - b|, as max |x*sb - y*sa| / (sa*sb) on the
+    cleared numerators x over sa of a and y over sb of b."""
+    (an, sa), (bn, sb) = a.cleared_rows, b.cleared_rows
+    pairs = zip(chain.from_iterable(an), chain.from_iterable(bn))
+    return quotient(max([0] + [abs(x * sb - y * sa) for x, y in pairs]), sa * sb)
 
 
 def determinant(m: Matrix8) -> Scalar:
@@ -221,16 +202,8 @@ class SOReport:
 
 
 def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
-    """Max-abs entry of M^T M - I, the determinant, and the verdict.
-
-    The residual is taken on the cleared numerators N / s of M^T M, as
-    max |N - s I| / s, so the product's entries are never built.
-    """
-    nums, s = compose(m.transpose(), m).cleared_rows
-    residual = quotient(
-        max([0] + [abs(x - s * (i == j)) for i, row in enumerate(nums) for j, x in enumerate(row)]),
-        s,
-    )
+    """The residual ``max_abs_diff(M^T M, I)``, the determinant, and the verdict."""
+    residual = max_abs_diff(compose(m.transpose(), m), Matrix8.identity())
     det = determinant(m)
     ok = backend.is_zero(residual) and backend.eq(det, 1)
     return SOReport(residual, det, ok)
@@ -360,7 +333,9 @@ def project_out(a: Vector8, span: Sequence[Vector8]) -> Vector8:
 
 def choose_w(p: OrientedPlane, backend: Backend = EXACT) -> Vector8:
     """Deterministic vector orthogonal to span{e0, x, y, xy}: the
-    ``complement_vector`` of the plane [x, y] and its product."""
+    ``complement_vector`` of the plane [x, y] and its product.  Raises
+    PlaneError first, as ``check_plane`` does, on an inadmissible plane."""
+    check_plane(p, backend)
     x, y = p.u, p.v
     return complement_vector(x, y, mul(x, y), backend)
 

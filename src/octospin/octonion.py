@@ -11,17 +11,9 @@ assignment, given e1*e2 = e3 and the products e4*e1 = -e5, e4*e2 = e6,
 e4*e3 = -e7, under which the algebra is alternative and norm-multiplicative
 (the identity suites in :mod:`octospin.suites` re-check this on every run).
 
-Each octonion keeps its ``scalar.cleared`` form, ``Octonion.cleared``
-(Python ints over one int denominator on the exact backend, the floats
-themselves with scale 1.0 on floats), computed once per object.
-``mul_numerators`` is the one Fano product loop on those numerators.
-``mul`` and ``right_divide`` return ``Octonion.scaled``: on exact operands
-the result holds only its reduced cleared form, and its ``coords`` are built
-on first read, so a product that only feeds the next kernel never becomes
-Fractions.  ``oct_eq`` compares cleared numerators crosswise, and the
-relation loop of :mod:`octospin.spinmaps` compares its products as integer
-cross-products.  The basis octonions and zero hold Python ints, which mix
-exactly with Fractions and floats alike.
+``mul_numerators`` is the one Fano product loop, on coordinates or on the
+cleared numerators of :mod:`octospin.scalar`.  The basis octonions hold Python
+ints, which mix exactly with Fractions and floats alike.
 """
 
 from __future__ import annotations

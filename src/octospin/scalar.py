@@ -7,12 +7,18 @@ agreement within a hybrid relative/absolute tolerance.  All algebra in the
 other modules is generic over the scalar type; a computation stays inside
 whichever backend its inputs came from.
 
-The product kernels sum ``cleared`` numerators (ints over an int scale on
-exact operands).  Octonions and matrices keep their cleared form per object
-(``Octonion.cleared``, ``Matrix8.cleared_rows``); a kernel result holds only
-that form, reduced, and builds its values with ``quotient`` on first read.
-Equality (``cleared_eq``) and the relation g(a) g~(b) = g~(a*b) are decided
-on cross-products of the numerators, without building a Fraction.
+The cleared form of a list of scalars is ``cleared``: Python-int numerators
+over one positive int scale for rationals and ints, and the values themselves
+over 1.0 once a float is among them.  Octonions and matrices keep it per
+object (``Octonion.cleared``, ``Matrix8.cleared_rows``).  The product kernels
+(``mul``, ``right_divide``, ``compose``, ``apply``, ``plane_rotation``),
+``transpose`` and ``column`` return numerators over the product of the scales
+through ``Octonion.scaled`` / ``Matrix8.scaled``: an int scale is reduced by
+one gcd and kept, the values built with ``quotient`` on first read; a float
+scale is divided out at once, which leaves the bits of every float unchanged.
+Equality (``cleared_eq``), the residual ``max_abs_diff`` and the relation
+g(a) g~(b) = g~(a*b) compare x*sb against y*sa on the numerators, without
+building a Fraction.
 
 Rotation angles are never stored as radians.  A rotation parameter is a
 point (c, s) on the unit circle, so identities involving cos and sin reduce

@@ -46,6 +46,7 @@ from .octonion import (
     Octonion,
     Vector8,
     conj_numerators,
+    inner,
     mul,
     mul_numerators,
     norm_sq,
@@ -59,7 +60,6 @@ from .scalar import (
     Scalar,
     cleared,
     double_angle,
-    quotient,
 )
 
 
@@ -89,14 +89,12 @@ def basis_b(
 
     w defaults to ``choose_w(p)``, chosen after the plane passes
     ``check_plane`` (which raises PlaneError first) from the same product
-    x*y that becomes the frame element.  Every other contract is
-    read off one Gram matrix E E^T, E having the frame elements as rows, and
-    raises FrameError: N = |w|^2 must be nonzero (the Gram cannot see w = 0);
-    the 28 pairwise inner products must vanish, taken column by column so the
-    first failure names the later element (a real part of x fails against e0,
-    a w inside span{e0, x, y, xy} against that span); the first four norms
-    must be 1 and the last four N.  The Gram entries are read off its cleared
-    numerators; only the tested ones become values.
+    x*y that becomes the frame element.  Every other contract raises
+    FrameError: N = |w|^2 must be nonzero; the 28 pairwise ``inner``
+    products must vanish, taken column by column so the first failure names
+    the later element (a real part of x fails against e0, a w inside
+    span{e0, x, y, xy} against that span); the first four ``norm_sq`` must
+    be 1 and the last four N.
     """
     check_plane(p, backend)
     x, y = p.u, p.v
@@ -104,21 +102,18 @@ def basis_b(
     if w is None:
         w = complement_vector(x, y, xy, backend)
     elements = (Octonion.basis(0), x, y, xy, w, mul(w, x), mul(w, y), mul(w, xy))
-    e = Matrix8(tuple(el.coords for el in elements))
-    gram, scale = compose(e, e.transpose()).cleared_rows
-    nw = quotient(gram[4][4], scale)
+    nw = norm_sq(w)
     if backend.is_zero(nw):
         raise FrameError("w must be nonzero")
     for j in range(8):
         for i in range(j):
-            # a zero numerator is zero on either backend
-            if gram[i][j] and not backend.is_zero(quotient(gram[i][j], scale)):
+            if not backend.is_zero(inner(elements[i], elements[j])):
                 raise FrameError(
                     f"frame elements {FRAME_NAMES[i]} and {FRAME_NAMES[j]} "
                     "are not orthogonal"
                 )
     for i in range(8):
-        if not backend.eq(quotient(gram[i][i], scale), 1 if i < 4 else nw):
+        if not backend.eq(norm_sq(elements[i]), 1 if i < 4 else nw):
             raise FrameError(f"frame element {FRAME_NAMES[i]} has the wrong norm")
     return FrameB(elements, nw)
 

@@ -182,6 +182,25 @@ def test_eval_spin8_requires_s_vector(capsys):
     assert "spin8 needs --s-vector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["f5", "--w", "e3"], "--w"),
+        (["h70", "--plane2", "e3,e4", "--angle2", "0,1", "--w", "e4"], "--w"),
+        (["f7", "--s-vector", "e0"], "--s-vector"),
+        (["f7xf5", "--plane2", "e4,e5", "--angle2", "0,1", "--s-vector", "e0"], "--s-vector"),
+        (["f7", "--plane2", "e3,e4", "--angle2", "0,1"], "--plane2"),
+        (["f5", "--angle2", "0,1"], "--angle2"),
+    ],
+)
+def test_eval_rejects_flags_its_map_does_not_read(extra, flag, capsys):
+    code = run(["eval", extra[0], "--plane", "e1,e2", "--angle", "0,1", *extra[1:]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: map {extra[0]} does not take {flag}\n"
+
+
 def test_eval_spin8_rejects_non_unit_s(tmp_path):
     code = run([
         "eval", "spin8", "--plane", "e1,e2", "--angle", "1,0",

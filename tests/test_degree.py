@@ -8,6 +8,7 @@ from octospin.degree import (
     DegreeReport,
     LedgerError,
     SquareReport,
+    _cut_crossing,
     _exact_circle_samples,
     circle_samples,
     degree_ledger,
@@ -153,6 +154,26 @@ def test_exact_antipodes_of_different_scales_raise():
 
     with pytest.raises(AmbiguousArcError):
         winding_degree(lambda p: lookup[p], 8)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
+def test_winding_conjugation_and_a_map_crossing_both_ways(backend):
+    # (c, s) -> (c, -s) crosses the cut clockwise once.
+    assert winding_degree(lambda p: CirclePoint(p.c, -p.s), 256, backend) == -1
+    # The image stays left of the origin and crosses the cut twice in each
+    # direction; both maps are homogeneous, as integer points require.
+    left = lambda p: CirclePoint(-(p.c * p.c + p.s * p.s), p.c * p.s)
+    assert winding_degree(left, 256, backend) == 0
+
+
+def test_cut_crossing_sees_antipodes_at_different_integer_scales():
+    for p, q in (((2, 0), (-3, 0)), ((0, 5), (0, -7)), ((3, 4), (-6, -8))):
+        p, q = CirclePoint(*p), CirclePoint(*q)
+        assert not (EXACT.eq(p.c, -q.c) and EXACT.eq(p.s, -q.s))
+        with pytest.raises(AmbiguousArcError):
+            _cut_crossing(p, q, EXACT)
+    # the same direction at another scale is no crossing
+    assert _cut_crossing(CirclePoint(2, 0), CirclePoint(3, 0), EXACT) == 0
 
 
 def test_verify_square_passes():

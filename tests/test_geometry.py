@@ -31,6 +31,7 @@ from octospin.scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
+    FloatBackend,
     circle_from_parameter,
     derived_rng,
 )
@@ -284,6 +285,20 @@ def test_choose_w_orthogonality():
         assert w.coords[0] == 0
         for b in (Octonion.basis(0), p.u, p.v, mul(p.u, p.v)):
             assert inner(w, b) == 0
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
+def test_choose_w_rejects_inadmissible_planes(backend):
+    zero = Octonion((0,) * 8)
+    cases = [
+        ((zero, zero), "plane spanning pair must be nonzero"),
+        ((E[1], zero), "plane spanning pair must have equal norms"),
+        ((E[1], E[1]), "plane spanning pair must be orthogonal"),
+    ]
+    for (u, v), message in cases:
+        p = OrientedPlane(u, v).map_scalars(backend.from_fraction)
+        with pytest.raises(PlaneError, match=message):
+            choose_w(p, backend)
 
 
 def test_matrix_serialization_round_trip():

@@ -8,8 +8,9 @@ results hold only their reduced cleared form (``Matrix8.scaled``,
 read.  The references below are the direct Fraction/float formulas: on exact
 inputs the kernels must give the same values as reduced Fractions, and on
 float inputs (mixed with int basis entries, Fractions and int zeros) the same
-bits.  ``mat_eq``, ``oct_eq`` and ``project_double_cover`` are checked against
-the entrywise and column-by-column versions they replace.
+bits.  ``mat_eq``, ``oct_eq``, ``max_abs_diff``, the ``so_check`` residual and
+``project_double_cover`` are checked against the entrywise, inline and
+column-by-column versions they replace.
 """
 
 import dataclasses
@@ -455,18 +456,78 @@ def test_project_double_cover_keeps_the_exact_zero_error():
     _assert_same_bits(project_double_cover(tiny), ref_project_double_cover(tiny))
 
 
+def ref_max_abs_diff(a, b):
+    """Largest entrywise |a - b|, on the values."""
+    return max([0] + [abs(x - y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)])
+
+
+def ref_residual(m):
+    """The residual of M^T M - I as so_check took it inline: max |N - s I| / s
+    on the cleared numerators N over s of M^T M."""
+    nums, s = ref_compose(Matrix8(tuple(zip(*m.rows))), m).cleared_rows
+    diffs = [abs(x - s * (i == j)) for i, row in enumerate(nums) for j, x in enumerate(row)]
+    return quotient(max([0] + diffs), s)
+
+
+def test_max_abs_diff_matches_the_entrywise_reference():
+    rng = random.Random("kernels|max-abs-diff")
+    g = f7(random_orthonormal_pair(3), circle_from_parameter(F(4, 9)))
+    ints = Matrix8(tuple(tuple(i * 8 + j - 30 for j in range(8)) for i in range(8)))
+    exact = [
+        (g, Matrix8.identity()),
+        (g, Matrix8(g.rows)),
+        (compose(g, g.transpose()), Matrix8.identity()),
+        (_exact_matrix(rng, 16), _exact_matrix(rng, 64)),
+        (Matrix8(((F(1, 3),) * 8,) * 8), Matrix8(((F(1, 5),) * 8,) * 8)),
+        (ints, -Matrix8.identity()),
+    ]
+    for a, b in exact:
+        got = max_abs_diff(a, b)
+        assert got == ref_max_abs_diff(a, b) and type(got) is F
+    gf = g.map_scalars(float)
+    mixed = Matrix8(tuple(tuple(int(i == j) if (i + j) % 3 else _float(rng) for j in range(8))
+                          for i in range(8)))
+    bad = Matrix8(((math.inf, math.nan) + (0.5,) * 6,) + gf.rows[1:])
+    floats = [
+        (_float_matrix(rng), _float_matrix(rng)),
+        (gf, Matrix8.identity()),
+        (Matrix8.identity(), gf),
+        (gf, Matrix8.identity().map_scalars(F)),
+        (mixed, Matrix8.identity()),
+        (mixed, gf),
+        (gf, gf),
+        (bad, gf),
+        (gf, bad),
+    ]
+    for a, b in floats:
+        got, want = max_abs_diff(a, b), ref_max_abs_diff(a, b)
+        assert float.hex(float(got)) == float.hex(float(want))
+
+
 def test_so_check_residual_matches_max_abs_diff():
     rng = random.Random("kernels|so-check")
     g = f7(random_orthonormal_pair(2), circle_from_parameter(F(5, 3)))
     exact = [g, Matrix8.identity(), -Matrix8.identity(), _exact_matrix(rng, 8), g.transpose()]
     for m in exact:
-        want = max_abs_diff(ref_compose(m.transpose(), m), Matrix8.identity())
-        assert so_check(m).orthogonality_residual == want
+        mtm = ref_compose(Matrix8(tuple(zip(*m.rows))), m)
+        got = so_check(m).orthogonality_residual
+        assert got == ref_residual(m) == ref_max_abs_diff(mtm, Matrix8.identity())
     floats = [g.map_scalars(float), _float_matrix(rng), Matrix8.identity().map_scalars(float)]
     for m in floats:
-        want = max_abs_diff(ref_compose(m.transpose(), m), Matrix8.identity())
+        mtm = ref_compose(Matrix8(tuple(zip(*m.rows))), m)
         got = so_check(m, FLOAT).orthogonality_residual
-        assert float.hex(float(got)) == float.hex(float(want))
+        want = [ref_residual(m), ref_max_abs_diff(mtm, Matrix8.identity())]
+        assert [float.hex(float(x)) for x in want] == [float.hex(float(got))] * 2
+
+
+def test_float_columns_keep_the_bits_of_the_entries():
+    rng = random.Random("kernels|column|float")
+    mixed = Matrix8(tuple(tuple(int(i == j) if (i + j) % 2 else _float(rng) for j in range(8))
+                          for i in range(8)))
+    for a, b, _, _ in _float_cases(rng):
+        for m in (a, b, mixed):
+            for j in range(8):
+                _assert_same_bits(m.column(j), Octonion(tuple(row[j] for row in m.rows)))
 
 
 # --- equality on cleared numerators ------------------------------------------

@@ -78,6 +78,13 @@ def test_zero_plane_is_a_plane_error():
         basis_b(zero)
 
 
+def test_basis_b_checks_the_w_products_on_their_cleared_form():
+    for k in range(3):
+        frame = basis_b(rand_inputs(k)[0])
+        for el in frame.elements[5:]:  # wx, wy, w(xy)
+            assert "coords" not in vars(el)
+
+
 def test_basis_b_scaled_w():
     frame = basis_b(P12, E[4].scale(F(2)))
     assert frame.norm_w == 4
