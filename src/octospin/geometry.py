@@ -9,7 +9,8 @@ coordinates are rare, equal-norm pairs are everywhere).
 Special-orthogonal matrices with exact rational entries come from the
 Cayley transform A -> (I - A)(I + A)^-1 of random antisymmetric rational
 matrices; their columns provide exactly orthonormal frames for the random
-plane generator; the solve behind it is fraction-free, on integer rows.
+plane generator.  On exact input their solve, the determinant and the
+Gram-Schmidt step are fraction-free, on the integer numerators.
 """
 
 from __future__ import annotations
@@ -166,13 +167,35 @@ def max_abs_diff(a: Matrix8, b: Matrix8) -> Scalar:
     return quotient(max([0] + [abs(x * sb - y * sa) for x, y in pairs]), sa * sb)
 
 
-def determinant(m: Matrix8) -> Scalar:
-    """Signed product of the pivots of elimination with partial pivoting.
+def _bareiss(m, n: int, below: bool):
+    """Fraction-free (Bareiss) elimination on the int rows m, in place, over
+    their first n columns: pivot on the first nonzero entry; each row below it
+    (``below``), or each other row, becomes (p*x - f*y) // prev, exactly.
+    Returns the sign of the row swaps and the last pivot, 0 if singular."""
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return sign, 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        top, p = m[k][k + 1:], m[k][k]
+        for row in m[k + 1:] if below else m[:k] + m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    return sign, prev
 
-    Works in the matrix's own scalars, with Python ints taken as Fractions, so
-    it is exact on Fractions and ints; on floats the largest pivot keeps the
-    rounding small.  A singular matrix gives a zero of the entries' type.
-    """
+
+def determinant(m: Matrix8) -> Scalar:
+    """The determinant: on cleared numerators N over an int scale s, a
+    Fraction, from forward ``_bareiss`` ending on +-det(N) = +-s^8 det(M).  A
+    float matrix keeps the signed product of the pivots of elimination with
+    partial pivoting in its own scalars, ints taken as Fractions."""
+    nums, scale = m.cleared_rows
+    if type(scale) is int:
+        sign, last = _bareiss([row[:] for row in nums], 8, True)
+        return Fraction(sign * last, scale ** 8)
     rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in m.rows]
     det = 1
     for k in range(8):
@@ -216,13 +239,18 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     I + ((c-1)/N)(u u^T + v v^T) + (s/N)(v u^T - u v^T); it sends
     u -> c*u + s*v and v -> -s*u + c*v and is special orthogonal.  The
     entries are computed on the cleared numerators of the two coefficients
-    and of u and v together, and ``scaled`` over the product of their
-    scales (the identity adds the scale to the diagonal numerators).
+    and of u and v (over the lcm of their scales, or the values over 1.0 once
+    a float is among them), and ``scaled`` over the product of the scales
+    (the identity adds the scale to the diagonal numerators).
     """
     n = check_plane(p, backend)
     (a, b), sab = cleared([(t.c - 1) / n, t.s / n])
-    uv, suv = cleared(p.u.coords + p.v.coords)
-    u, v = uv[:8], uv[8:]
+    (un, su), (vn, sv) = p.u.cleared, p.v.cleared
+    if type(su) is type(sv) is int:
+        suv = math.lcm(su, sv)
+        u, v = [x * (suv // su) for x in un], [x * (suv // sv) for x in vn]
+    else:
+        u, v, suv = p.u.coords, p.v.coords, 1.0
     scale = sab * suv * suv
     rows = []
     for i in range(8):
@@ -244,26 +272,15 @@ def rotate_plane_basis(p: OrientedPlane, s) -> OrientedPlane:
 def solve_linear(a_rows: Sequence[Sequence[Scalar]], b_rows: Sequence[Sequence[Scalar]]):
     """Solve A X = B for rational A and B (Fractions or Python ints).
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on the rows of [A | B]
-    cleared to ints: pivot on the first nonzero entry, update every other row
-    as (p*x - f*y) // prev, which is exact.  A ends as the last pivot times I,
+    Fraction-free Gauss-Jordan elimination (``_bareiss`` on every other row)
+    on the rows of [A | B] cleared to ints.  A ends as the last pivot times I,
     so X is B's block over it.  Raises ZeroDivisionError when A is singular.
     """
     n = len(a_rows)
     m = [cleared(list(a) + list(b))[0] for a, b in zip(a_rows, b_rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular linear system")
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k][k + 1:]
-        p = m[k][k]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[k]
-                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
-        prev = p
+    prev = _bareiss(m, n, False)[1]
+    if not prev:
+        raise ZeroDivisionError("singular linear system")
     return [[Fraction(x, prev) for x in row[n:]] for row in m]
 
 
@@ -298,14 +315,14 @@ SUBSPACE_COORDS = {"R7": (1, 2, 3, 4, 5, 6, 7), "R5": (1, 2, 3, 4, 5)}
 
 def random_antisymmetric(rng: random.Random, support: Sequence[int]) -> Matrix8:
     """Random antisymmetric rational matrix, entries p/q with p in [-5, 5],
-    q in [1, 4], supported on the given coordinate block."""
-    rows = [[Fraction(0)] * 8 for _ in range(8)]
+    q in [1, 4], supported on the given coordinate block; built as the ints
+    12p/q (q divides 12) ``scaled`` over 12."""
+    rows = [[0] * 8 for _ in range(8)]
     for ai, i in enumerate(support):
         for j in support[ai + 1:]:
-            x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            rows[i][j] = x
-            rows[j][i] = -x
-    return Matrix8.from_rows(rows)
+            x = rng.randint(-5, 5) * 12 // rng.randint(1, 4)
+            rows[i][j], rows[j][i] = x, -x
+    return Matrix8.scaled(rows, 12)
 
 
 def random_orthonormal_pair(seed: int, restrict_to: str = "R7", index=0) -> OrientedPlane:
@@ -325,9 +342,17 @@ def random_orthonormal_pair(seed: int, restrict_to: str = "R7", index=0) -> Orie
 
 def project_out(a: Vector8, span: Sequence[Vector8]) -> Vector8:
     """Gram-Schmidt step: a minus its projection onto each nonzero b of
-    ``span`` in turn, which leaves a orthogonal to an orthogonal span."""
+    ``span`` in turn, which leaves a orthogonal to an orthogonal span.  On int
+    scales, a = A/s_a and b = B/s_b, a step is the fraction-free ``scaled``
+    (A(B.B) - B(A.B)) / (s_a(B.B)), or a itself when <a, b> = 0; float or
+    mixed operands keep the formula on the values."""
     for b in span:
-        a = a - b.scale(inner(a, b) / norm_sq(b))
+        (an, sa), (bn, sb) = a.cleared, b.cleared
+        if type(sa) is not int or type(sb) is not int:
+            a = a - b.scale(inner(a, b) / norm_sq(b))
+        elif ab := sum(map(operator.mul, an, bn)):
+            bb = sum(map(operator.mul, bn, bn))
+            a = Octonion.scaled([x * bb - y * ab for x, y in zip(an, bn)], sa * bb)
     return a
 
 

@@ -10,15 +10,15 @@ whichever backend its inputs came from.
 The cleared form of a list of scalars is ``cleared``: Python-int numerators
 over one positive int scale for rationals and ints, and the values themselves
 over 1.0 once a float is among them.  Octonions and matrices keep it per
-object (``Octonion.cleared``, ``Matrix8.cleared_rows``).  The product kernels
-(``mul``, ``right_divide``, ``compose``, ``apply``, ``plane_rotation``),
-``transpose`` and ``column`` return numerators over the product of the scales
-through ``Octonion.scaled`` / ``Matrix8.scaled``: an int scale is reduced by
-one gcd and kept, the values built with ``quotient`` on first read; a float
-scale is divided out at once, which leaves the bits of every float unchanged.
+object (``Octonion.cleared``, ``Matrix8.cleared_rows``).  The kernels ``mul``,
+``right_divide``, ``compose``, ``apply``, ``plane_rotation``, ``project_out``,
+``transpose``, ``column`` and ``random_antisymmetric`` return numerators over
+one scale through ``Octonion.scaled`` / ``Matrix8.scaled``: an int scale is
+reduced by one gcd and kept, the values built with ``quotient`` on first read;
+a float scale is divided out at once, which leaves every float bit unchanged.
 Equality (``cleared_eq``), the residual ``max_abs_diff`` and the relation
-g(a) g~(b) = g~(a*b) compare x*sb against y*sa on the numerators, without
-building a Fraction.
+g(a) g~(b) = g~(a*b) compare x*sb with y*sa on the numerators; the Bareiss
+``determinant`` and ``solve_linear`` build Fractions only for their results.
 
 Rotation angles are never stored as radians.  A rotation parameter is a
 point (c, s) on the unit circle, so identities involving cos and sin reduce

@@ -10,7 +10,9 @@ inputs the kernels must give the same values as reduced Fractions, and on
 float inputs (mixed with int basis entries, Fractions and int zeros) the same
 bits.  ``mat_eq``, ``oct_eq``, ``max_abs_diff``, the ``so_check`` residual and
 ``project_double_cover`` are checked against the entrywise, inline and
-column-by-column versions they replace.
+column-by-column versions they replace; ``determinant``, ``project_out``,
+``complement_vector`` and ``random_antisymmetric``, fraction-free on ints,
+against the Fraction elimination, Gram-Schmidt and build they replace.
 """
 
 import dataclasses
@@ -22,13 +24,19 @@ import pytest
 
 from octospin import octonion
 from octospin.geometry import (
+    SUBSPACE_COORDS,
     Matrix8,
     OrientedPlane,
     apply,
+    cayley_orthogonal,
+    complement_vector,
     compose,
+    determinant,
     mat_eq,
     max_abs_diff,
     plane_rotation,
+    project_out,
+    random_antisymmetric,
     random_orthonormal_pair,
     so_check,
 )
@@ -40,9 +48,10 @@ from octospin.scalar import (
     FloatBackend,
     circle_from_parameter,
     cleared,
+    derived_rng,
     quotient,
 )
-from octospin.spinmaps import f7, project_double_cover
+from octospin.spinmaps import basis_b, f7, project_double_cover
 
 FLOAT = FloatBackend(1e-9)
 
@@ -251,6 +260,9 @@ def test_float_kernels_are_bit_identical_to_plain_formulas():
     mixed = OrientedPlane(Octonion.basis(0), Octonion((0, 0, 0, 0.6, 0, 0.8, 0, 0)))
     t = circle_from_parameter(F(2, 9)).map_scalars(float)
     _assert_same_bits(plane_rotation(mixed, t, FLOAT), ref_plane_rotation(mixed, t))
+    # a rational u over the scale 5 beside a float v
+    mixed = OrientedPlane(Octonion((0, F(3, 5), F(4, 5)) + (0,) * 5), mixed.v)
+    _assert_same_bits(plane_rotation(mixed, t, FLOAT), ref_plane_rotation(mixed, t))
 
 
 def test_float_kernels_keep_signed_zeros():
@@ -329,6 +341,7 @@ def test_exact_kernel_outputs_are_fractions_never_floats():
     planes = [OrientedPlane(e[1], e[2]), OrientedPlane(e[0], e[7]), _exact_plane(rng, 16)]
     angles = [CirclePoint(0, 1), CirclePoint(1, 0), circle_from_parameter(F(2, 7))]
     outputs += [plane_rotation(p, t) for p in planes for t in angles]
+    outputs += [determinant(a) for a in matrices]
     assert all(type(x) is F for out in outputs for x in _entries(out))
 
 
@@ -605,3 +618,148 @@ def test_rationals_over_a_scale_compare_as_values_on_floats():
     loose = FloatBackend(1e-8)
     assert oct_eq(a, b, loose) and not oct_eq(a, b, FLOAT) and not oct_eq(a, b)
     assert oct_eq(a, b, loose) is ref_oct_eq(a, b, loose)
+
+
+# --- fraction-free eliminations, Gram-Schmidt and integer inputs ---------------
+
+
+def ref_determinant(m):
+    """Signed product of the pivots of elimination with partial pivoting, in
+    the matrix's own scalars with Python ints taken as Fractions."""
+    rows = [[F(x) if isinstance(x, int) else x for x in r] for r in m.rows]
+    det = 1
+    for k in range(8):
+        piv = max(range(k, 8), key=lambda i: abs(rows[i][k]))
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        top = rows[k]
+        det *= top[k]
+        if not top[k]:
+            break
+        for row in rows[k + 1:]:
+            if row[k]:
+                f = row[k] / top[k]
+                for j in range(k + 1, 8):
+                    row[j] -= f * top[j]
+    return det if det else abs(det)
+
+
+def _permutation(images):
+    return Matrix8(tuple(tuple(int(j == images[i]) for j in range(8)) for i in range(8)))
+
+
+def _exact_determinant_cases():
+    rng = random.Random("kernels|determinant")
+    for bits in (8, 32, 64, 128):
+        t = circle_from_parameter(F(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits)))
+        g = f7(random_orthonormal_pair(rng.randrange(100)), t)
+        yield g
+        yield project_double_cover(g)
+        yield cayley_orthogonal(random_antisymmetric(rng, range(8)))
+        yield _exact_matrix(rng, bits)
+    ints = Matrix8(tuple(tuple(i * 8 + j - 30 for j in range(8)) for i in range(8)))
+    yield ints  # singular: rank 2
+    yield Matrix8(g.rows[:7] + (g.rows[3],))  # singular Fractions
+    yield _with_entry(_exact_matrix(rng, 16), 0, 0, 0)  # zero leading pivot
+    yield _permutation([1, 2, 3, 4, 5, 6, 7, 0])  # a swap at every step, det -1
+    reflection = _with_entry(Matrix8.identity(), 2, 2, -1)
+    yield compose(g, reflection)  # det -1
+    tridiagonal = Matrix8(tuple(tuple(3 if i == j else int(abs(i - j) == 1) for j in range(8))
+                                for i in range(8)))
+    yield tridiagonal
+    yield Matrix8(tuple(tuple(x + 40 * (i == j) for j, x in enumerate(row))
+                        for i, row in enumerate(ints.rows)))
+
+
+def test_determinant_matches_the_fraction_elimination():
+    dets = []
+    for m in _exact_determinant_cases():
+        got = determinant(m)
+        assert got == ref_determinant(m) and type(got) is F
+        dets.append(got)
+    assert {0, 1, -1} <= set(dets) and len(set(dets)) > 3
+
+
+def test_float_determinant_keeps_the_bits():
+    rng = random.Random("kernels|determinant|float")
+    mixed = Matrix8(tuple(tuple(int(i == j) if (i + j) % 3 else _float(rng) for j in range(8))
+                          for i in range(8)))
+    swap = _permutation([1, 0, 2, 3, 4, 5, 6, 7]).map_scalars(float)
+    for m in [a for a, _, _, _ in _float_cases(rng)] + [mixed, swap]:
+        _assert_same_bits(determinant(m), ref_determinant(m))
+
+
+def ref_project_out(a, span):
+    for b in span:
+        a = a - b.scale(inner(a, b) / norm_sq(b))
+    return a
+
+
+def ref_complement_vector(x, y, xy, backend):
+    span = [Octonion.basis(0), x, y, xy]
+    for i in range(1, 8):
+        w = ref_project_out(Octonion.basis(i), span)
+        if not backend.is_zero(norm_sq(w)):
+            return w
+
+
+@pytest.mark.parametrize("restrict", ["R7", "R5"])
+def test_project_out_and_complement_vector_match_the_fraction_formula(restrict):
+    rng = random.Random(f"kernels|project|{restrict}")
+    for seed in range(6):
+        p = random_orthonormal_pair(seed, restrict)
+        x, y = p.u, p.v
+        xy = mul(x, y)
+        span = [Octonion.basis(0), x, y, xy]
+        vectors = [Octonion.basis(i) for i in range(8)] + [_exact_octonion(rng, 16)]
+        for a, s in [(a, span) for a in vectors] + [(vectors[-1], span[1:])]:
+            got, want = project_out(a, s), ref_project_out(a, s)
+            assert got == want and got.cleared == want.cleared
+        got, want = complement_vector(x, y, xy), ref_complement_vector(x, y, xy, EXACT)
+        assert got == want and got.cleared == want.cleared
+        xf, yf = x.map_scalars(float), y.map_scalars(float)
+        xyf = mul(xf, yf)
+        span = [Octonion.basis(0), xf, yf, xyf]
+        for a, s in [(a, span) for a in vectors[:8] + [_float_octonion(rng)]] + [
+            (_float_octonion(rng), [Octonion.basis(0), x, y, xy])
+        ]:
+            _assert_same_bits(project_out(a, s), ref_project_out(a, s))
+        got = complement_vector(xf, yf, xyf, FLOAT)
+        _assert_same_bits(got, ref_complement_vector(xf, yf, xyf, FLOAT))
+
+
+def ref_random_antisymmetric(rng, support):
+    rows = [[F(0)] * 8 for _ in range(8)]
+    for ai, i in enumerate(support):
+        for j in support[ai + 1:]:
+            x = F(rng.randint(-5, 5), rng.randint(1, 4))
+            rows[i][j] = x
+            rows[j][i] = -x
+    return Matrix8.from_rows(rows)
+
+
+@pytest.mark.parametrize("support", [SUBSPACE_COORDS["R7"], SUBSPACE_COORDS["R5"], range(8)],
+                         ids=["R7", "R5", "R8"])
+def test_random_antisymmetric_matches_the_fraction_build(support):
+    for k in range(20):
+        rng, ref_rng = derived_rng(k, "antisymmetric"), derived_rng(k, "antisymmetric")
+        got, want = random_antisymmetric(rng, support), ref_random_antisymmetric(ref_rng, support)
+        assert "rows" not in vars(got)
+        assert got.cleared_rows == want.cleared_rows
+        assert repr(got) == repr(want)
+        assert rng.randrange(8) == ref_rng.randrange(8)
+
+
+def test_plane_rotation_brings_u_and_v_over_one_scale():
+    u = Octonion((0, F(3, 5), F(4, 5), 0, 0, 0, 0, 0))
+    v = Octonion((0, 0, 0, F(12, 13), F(-5, 13), 0, 0, 0))
+    e0, _, _, xy, w, _, _, wxy = basis_b(random_orthonormal_pair(3)).elements
+    planes = [OrientedPlane(u, v), OrientedPlane(v, u), OrientedPlane(e0, xy),
+              OrientedPlane(w, wxy)]
+    angles = [CirclePoint(F(0), F(1)), circle_from_parameter(F(2, 7)),
+              circle_from_parameter(F(-9, 4))]
+    for p in planes:
+        assert p.u.cleared[1] != p.v.cleared[1]
+        for t in angles:
+            _assert_exact_equal(plane_rotation(p, t), ref_plane_rotation(p, t))

@@ -85,6 +85,21 @@ def test_basis_b_checks_the_w_products_on_their_cleared_form():
             assert "coords" not in vars(el)
 
 
+def test_f7_keeps_the_frame_products_on_their_cleared_form(monkeypatch):
+    frames = []
+
+    def recording_basis_b(*args):
+        frames.append(basis_b(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(spinmaps, "basis_b", recording_basis_b)
+    for k in range(3):
+        f7(rand_inputs(k)[0], T35)
+        for el in frames[-1].elements[5:]:  # wx, wy, w(xy)
+            assert "coords" not in vars(el)
+    assert len(frames) == 3
+
+
 def test_basis_b_scaled_w():
     frame = basis_b(P12, E[4].scale(F(2)))
     assert frame.norm_w == 4
