@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .octonion import Octonion, Vector8, inner, mul, norm_sq
+from .octonion import Octonion, Vector8, inner, inner_cleared, mul, norm_sq
 from .scalar import Backend, EXACT, Scalar, cleared, cleared_eq, derived_rng, quotient
 
 
@@ -51,14 +51,14 @@ def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> Scalar:
 
     Raises PlaneError unless u ⟂ v and |u|^2 = |v|^2 != 0.
     """
-    n = norm_sq(p.u)
-    if backend.is_zero(n):
+    (nu, su), (nv, sv) = inner_cleared(p.u, p.u), inner_cleared(p.v, p.v)
+    if backend.is_zero_over(nu, su):
         raise PlaneError("plane spanning pair must be nonzero")
-    if not backend.eq(n, norm_sq(p.v)):
+    if not cleared_eq([nu], su, [nv], sv, backend):
         raise PlaneError("plane spanning pair must have equal norms")
-    if not backend.is_zero(inner(p.u, p.v)):
+    if not backend.is_zero_over(*inner_cleared(p.u, p.v)):
         raise PlaneError("plane spanning pair must be orthogonal")
-    return n
+    return quotient(nu, su)
 
 
 @dataclass(frozen=True)
@@ -289,16 +289,21 @@ def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
     from one solve of (I + A) X = (I - A) with only those right-hand sides.
 
     (I - A) and (I + A)^-1 commute, so X is the transform in either factor
-    order; elimination treats each right-hand side on its own, so the columns
-    equal those of the full transform.  With A = N/d on its cleared rows, the
-    system is solved as (d*I + N) X = (d*I - N), on ints.
+    order.  With A = N/d on its cleared rows, (d*I + N) X = (d*I - N) is
+    solved on ints on the block where N has nonzero rows; outside it a column
+    is the identity column.
     """
     n, d = a.cleared_rows
     if any(n[i][j] != -n[j][i] for i in range(8) for j in range(8)):
         raise ValueError("matrix must be antisymmetric")
-    plus = [[d * (i == j) + n[i][j] for j in range(8)] for i in range(8)]
-    minus = [[d * (i == j) - n[i][j] for j in cols] for i in range(8)]
-    return tuple(map(Octonion, zip(*solve_linear(plus, minus))))
+    block = [i for i in range(8) if any(n[i])]
+    inside = [j for j in cols if j in block]
+    solved = dict(zip(block, solve_linear(
+        [[d * (i == j) + n[i][j] for j in block] for i in block],
+        [[d * (i == j) - n[i][j] for j in inside] for i in block],
+    ))) if inside else {}
+    return tuple(Octonion(tuple(solved[i][inside.index(j)] if i in solved and j in block
+                                else Fraction(i == j) for i in range(8))) for j in cols)
 
 
 def cayley_orthogonal(a: Matrix8) -> Matrix8:
@@ -373,7 +378,7 @@ def complement_vector(x: Vector8, y: Vector8, xy: Vector8, backend: Backend = EX
     span = [Octonion.basis(0), x, y, xy]
     for i in range(1, 8):
         w = project_out(Octonion.basis(i), span)
-        if not backend.is_zero(norm_sq(w)):
+        if not backend.is_zero_over(*inner_cleared(w, w)):
             return w
     raise PlaneError("no vector orthogonal to span{e0, x, y, xy} found")
 

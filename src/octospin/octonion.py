@@ -173,10 +173,15 @@ def conj(a: Octonion) -> Octonion:
     return Octonion(tuple(conj_numerators(a.coords)))
 
 
+def inner_cleared(a: Octonion, b: Octonion):
+    """The dot product <a, b> as (numerator sum, sa * sb), not divided."""
+    (an, sa), (bn, sb) = a.cleared, b.cleared
+    return sum(map(operator.mul, an, bn)), sa * sb
+
+
 def inner(a: Octonion, b: Octonion) -> Scalar:
     """Euclidean dot product of the coordinate vectors, on cleared numerators."""
-    (an, sa), (bn, sb) = a.cleared, b.cleared
-    return quotient(sum(map(operator.mul, an, bn)), sa * sb)
+    return quotient(*inner_cleared(a, b))
 
 
 def norm_sq(a: Octonion) -> Scalar:
@@ -191,8 +196,8 @@ def right_divide(a: Octonion, u: Octonion, backend: Backend = EXACT) -> Octonion
     product of the numerators times ns, ``scaled`` over sa * sc * nn.
     """
     (an, sa), (un, su) = a.cleared, u.cleared
-    nn, ns = sum(map(operator.mul, un, un)), su * su
-    if backend.is_zero(quotient(nn, ns)):
+    nn, ns = inner_cleared(u, u)
+    if backend.is_zero_over(nn, ns):
         raise ZeroDivisionError("division by the zero octonion")
     cn, sc = conj(u).cleared
     return Octonion.scaled([c * ns for c in mul_numerators(an, cn)], sa * sc * nn)

@@ -48,6 +48,9 @@ class ExactBackend:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
+    def is_zero_over(self, x, scale) -> bool:
+        return x == 0
+
     def format(self, a: Scalar) -> str:
         q = Fraction(a)
         return f"{q.numerator}/{q.denominator}"
@@ -83,6 +86,10 @@ class FloatBackend:
 
     def is_zero(self, a: Scalar) -> bool:
         return abs(a) <= self.epsilon
+
+    def is_zero_over(self, x, scale) -> bool:
+        """``is_zero`` of x / scale (not ``eq(x / scale, 0)``, true at epsilon >= 1)."""
+        return self.is_zero(quotient(x, scale))
 
     def format(self, a: Scalar) -> str:
         return format(float(a), ".17g")

@@ -24,6 +24,7 @@ g~ -> g is the double covering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Tuple
@@ -46,7 +47,7 @@ from .octonion import (
     Octonion,
     Vector8,
     conj_numerators,
-    inner,
+    inner_cleared,
     mul,
     mul_numerators,
     norm_sq,
@@ -57,8 +58,10 @@ from .scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
+    ExactBackend,
     Scalar,
     cleared,
+    cleared_eq,
     double_angle,
 )
 
@@ -90,11 +93,11 @@ def basis_b(
     w defaults to ``choose_w(p)``, chosen after the plane passes
     ``check_plane`` (which raises PlaneError first) from the same product
     x*y that becomes the frame element.  Every other contract raises
-    FrameError: N = |w|^2 must be nonzero; the 28 pairwise ``inner``
-    products must vanish, taken column by column so the first failure names
-    the later element (a real part of x fails against e0, a w inside
-    span{e0, x, y, xy} against that span); the first four ``norm_sq`` must
-    be 1 and the last four N.
+    FrameError: N = |w|^2 must be nonzero; the 28 pairwise inner products
+    must vanish, taken column by column so the first failure names the later
+    element (a real part of x fails against e0, a w inside span{e0, x, y, xy}
+    against that span); the first four squared norms must be 1 and the last
+    four N.  Each condition is decided on the ``inner_cleared`` numerator sums.
     """
     check_plane(p, backend)
     x, y = p.u, p.v
@@ -102,20 +105,22 @@ def basis_b(
     if w is None:
         w = complement_vector(x, y, xy, backend)
     elements = (Octonion.basis(0), x, y, xy, w, mul(w, x), mul(w, y), mul(w, xy))
-    nw = norm_sq(w)
-    if backend.is_zero(nw):
+    nw = inner_cleared(w, w)
+    if backend.is_zero_over(*nw):
         raise FrameError("w must be nonzero")
     for j in range(8):
         for i in range(j):
-            if not backend.is_zero(inner(elements[i], elements[j])):
+            if not backend.is_zero_over(*inner_cleared(elements[i], elements[j])):
                 raise FrameError(
                     f"frame elements {FRAME_NAMES[i]} and {FRAME_NAMES[j]} "
                     "are not orthogonal"
                 )
-    for i in range(8):
-        if not backend.eq(norm_sq(elements[i]), 1 if i < 4 else nw):
+    for i, el in enumerate(elements):
+        num, scale = inner_cleared(el, el)
+        want, wscale = (1, 1) if i < 4 else nw
+        if not cleared_eq([num], scale, [want], wscale, backend):
             raise FrameError(f"frame element {FRAME_NAMES[i]} has the wrong norm")
-    return FrameB(elements, nw)
+    return FrameB(elements, norm_sq(w))
 
 
 def _standard_frame_table():
@@ -180,6 +185,21 @@ def f7_factors(
     return tuple(plane_rotation(q, t, backend) for q in planes)
 
 
+def _rotation_product(frame: FrameB, t: CirclePoint, backend: Backend) -> Matrix8:
+    """The product of the four ``f7_factors``: their planes are orthogonal, so it
+    is I + sum_k (R_k - I), taken so over the lcm of int scales on the exact
+    backend.  Floats keep the chain and its bits; their frame is orthogonal only
+    within the tolerance."""
+    factors = f7_factors(frame, t, backend)
+    forms = [m.cleared_rows for m in factors]
+    if not isinstance(backend, ExactBackend) or any(type(s) is not int for _, s in forms):
+        return reduce(compose, factors)
+    scale = math.lcm(*(s for _, s in forms))
+    terms = [(nums, scale // s) for nums, s in forms]
+    return Matrix8.scaled([[sum(nums[i][j] * k for nums, k in terms) - 3 * scale * (i == j)
+                            for j in range(8)] for i in range(8)], scale)
+
+
 def f7(
     p: OrientedPlane,
     t: CirclePoint,
@@ -189,9 +209,9 @@ def f7(
     """Product of the four plane rotations at angle t; lands in Spin(7).
 
     The result does not depend on the admissible w (nor on the spanning
-    pair chosen for the plane); w defaults as in ``basis_b``.
+    pair chosen for the plane); w defaults as in ``basis_b``; see ``_rotation_product``.
     """
-    return reduce(compose, f7_factors(basis_b(p, w, backend), t, backend))
+    return _rotation_product(basis_b(p, w, backend), t, backend)
 
 
 def f5(p: OrientedPlane, t: CirclePoint, backend: Backend = EXACT) -> Matrix8:
@@ -314,7 +334,8 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
         return MembershipReport(Matrix8(((0,) * 8,) * 8), (), False, False)
     g = project_double_cover(gt)
     fixes_e0 = oct_eq(g.column(0), Octonion.basis(0), backend)
-    maps_im = all(backend.is_zero(g.rows[0][j]) for j in range(1, 8))
+    (first_row, *_), scale = g.cleared_rows
+    maps_im = all(backend.is_zero_over(x, scale) for x in first_row[1:])
     in_so7 = fixes_e0 and maps_im and so_check(g, backend).passed
     g_cols, cols = ([m.column(j) for j in range(8)] for m in (g, gt))
     basis_table = [[(FANO_SIGN[i][j], FANO_INDEX[i][j], 0) for j in range(8)] for i in range(8)]
@@ -334,17 +355,17 @@ class TrialityReport:
 def triality_check(p: OrientedPlane, t: CirclePoint, backend: Backend = EXACT) -> TrialityReport:
     """Check g(a) psi(b) = psi(a*b) on all 64 ordered frame pairs.
 
-    Here psi is the four-rotation product at angle t on the default-w
-    frame and g the bare plane rotation at the doubled angle.  Also checks
-    the quarter-turn identity a * psi_quarter(b) = psi_quarter(a*b) for
-    frame elements a outside {x, y}, and the closed form g(x) psi(y) =
+    Here psi is the four-rotation ``_rotation_product`` at angle t on the
+    default-w frame and g the bare plane rotation at the doubled angle.  Also
+    checks the quarter-turn identity a * psi_quarter(b) = psi_quarter(a*b)
+    for frame elements a outside {x, y}, and the closed form g(x) psi(y) =
     -s*e0 + c*xy.  The left sides are multiplied out; psi(a*b) is read from
     ``FRAME_TABLE`` and the images of the frame, psi being linear.
     """
     frame = basis_b(p, None, backend)
     e, n = frame.elements, frame.norm_w
     g = plane_rotation(p, double_angle(t), backend)
-    psi, psi_q = (reduce(compose, f7_factors(frame, s, backend)) for s in (t, CIRCLE_QUARTER))
+    psi, psi_q = (_rotation_product(frame, s, backend) for s in (t, CIRCLE_QUARTER))
     g_images, psi_images, psi_q_images = ([apply(m, b) for b in e] for m in (g, psi, psi_q))
 
     pair_failures = _relation_failures(g_images, psi_images, FRAME_TABLE, n, backend)

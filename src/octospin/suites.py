@@ -61,6 +61,7 @@ from .scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
+    ExactBackend,
     angle_sum,
     circle_from_parameter,
     derived_rng,
@@ -148,17 +149,18 @@ def _describe(x, backend: Backend):
     return x
 
 
-def _run(entry: Claim, backend: Backend, seed: int, trials: int) -> List[dict]:
+def _run(entry: Claim, backend: Backend, seed: int, trials: int, squares) -> List[dict]:
     """Check every instance of one table entry and build its report records.
 
-    A ValueError or ArithmeticError raised by the check becomes a failure
-    record of that instance for each claim of the entry; errors raised while
-    generating inputs, and other exception types, propagate.
+    Exact inputs pass as generated.  A ValueError or ArithmeticError raised
+    by the check becomes a failure record of that instance for each claim;
+    errors raised while generating inputs, and other exception types, propagate.
     """
     ids = list(entry.statements)
     tallies = {cid: Tally(0, [], None) for cid in ids}
-    for k, exact_inputs in enumerate(entry.inputs(seed, trials)):
-        inputs = [
+    run = (seed, trials, squares) if entry.inputs is _run_config else (seed, trials)
+    for k, exact_inputs in enumerate(entry.inputs(*run)):
+        inputs = exact_inputs if isinstance(backend, ExactBackend) else [
             x.map_scalars(backend.from_fraction) if isinstance(x, _BACKEND_VALUES) else x
             for x in exact_inputs
         ]
@@ -199,9 +201,9 @@ def _once(*values):
     return lambda seed, trials: [values]
 
 
-def _run_config(seed: int, trials: int):
-    """One instance: the run's (seed, trials), for checks that draw their own."""
-    return [(seed, trials)]
+def _run_config(seed: int, trials: int, squares):
+    """The run's (seed, trials) and squares dict (new if None), for checks that draw their own."""
+    return [(seed, trials, {} if squares is None else squares)]
 
 
 def _indexed(make):
@@ -572,8 +574,15 @@ def _cover_homomorphism(b, p7, t, p5, t2, k):
     return None if mat_eq(lhs, rhs, b) else {"trial": k}
 
 
-def _square_pointwise(b, seed, trials):
-    square = degree_mod.verify_square(seed, trials, b)
+def _square(b, seed, trials, squares):
+    """``verify_square(seed, trials, b)``, computed once per run into ``squares``."""
+    if (seed, trials) not in squares:
+        squares[seed, trials] = degree_mod.verify_square(seed, trials, b)
+    return squares[seed, trials]
+
+
+def _square_pointwise(b, seed, trials, squares):
+    square = _square(b, seed, trials, squares)
     details = {"max_residual": float(square.max_residual)}
     return Tally(square.trials, list(square.failures), details)
 
@@ -602,11 +611,11 @@ def _circle_degrees(b):
     return tuple(None if ok else "mismatch" for ok in degrees)
 
 
-def _degree_ledger(b, seed, trials):
+def _degree_ledger(b, seed, trials, squares):
     # The ledger winds the doubling map itself, so an error in the square
     # check stays in this entry and leaves the circle claims alone.
     doubling = degree_mod.winding_degree(double_angle, 256, b)
-    square = degree_mod.verify_square(seed, max(1, min(trials, 10)), b)
+    square = _square(b, seed, max(1, min(trials, 10)), squares)
     try:
         ledger = degree_mod.degree_ledger(square, doubling, doubling)
     except degree_mod.LedgerError as err:
@@ -759,9 +768,9 @@ SUITE_NAMES = tuple(CLAIMS)
 
 
 def _suite(name: str) -> Callable:
-    def run(backend: Backend, seed: int, trials: int) -> List[dict]:
+    def run(backend: Backend, seed: int, trials: int, squares=None) -> List[dict]:
         """The report records of one suite's table entries, in report order."""
-        return [result for entry in CLAIMS[name] for result in _run(entry, backend, seed, trials)]
+        return [r for entry in CLAIMS[name] for r in _run(entry, backend, seed, trials, squares)]
 
     run.__name__ = run.__qualname__ = "suite_" + name.replace("-", "_")
     return run
@@ -796,7 +805,8 @@ def run_verify_suite(config: RunConfig, suite_names=None):
     selected = [s for s in SUITE_NAMES if s in suite_names]
     if not selected:
         raise ValueError("no suites selected")
-    results = {name: SUITES[name](backend, config.seed, config.trials) for name in selected}
+    run = (backend, config.seed, config.trials, {})  # one dict of squares for all suites
+    results = {name: SUITES[name](*run) for name in selected}
     all_passed = all(c["passed"] for records in results.values() for c in records)
     report = {
         "config": {

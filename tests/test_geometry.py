@@ -27,6 +27,7 @@ from octospin.geometry import (
     solve_linear,
 )
 from octospin.octonion import Octonion, inner, mul, norm_sq, oct_eq
+from octospin.spinmaps import FrameError, basis_b
 from octospin.scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
@@ -180,6 +181,47 @@ def test_solve_linear_and_cayley_columns_match_reference(support):
         got = cayley_columns(a, cols)
         assert repr(got) == repr(tuple(Octonion(tuple(row[c] for row in want)) for c in cols))
         assert repr(got) == repr(ref_cayley_columns(a, cols))
+
+
+@pytest.mark.parametrize("support", [SUBSPACE_COORDS["R7"], SUBSPACE_COORDS["R5"], range(8)])
+def test_cayley_columns_on_the_support_block_match_the_full_solve(support):
+    outside = [j for j in range(8) if j not in support]
+    for k in range(20):
+        a = random_antisymmetric(derived_rng(13, "block", len(support), k), support)
+        cols = tuple(support[:2]) + tuple(outside) + (support[-1],)
+        got, want = cayley_columns(a, cols), ref_cayley_columns(a, cols)
+        assert repr(got) == repr(want)
+        assert [c.cleared for c in got] == [c.cleared for c in want]
+
+
+def test_cayley_columns_with_a_zero_row_inside_the_support():
+    a = random_antisymmetric(derived_rng(13, "zero-row"), SUBSPACE_COORDS["R7"])
+    nums, scale = a.cleared_rows
+    rows = [[0 if 3 in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(nums)]
+    a = Matrix8.scaled(rows, scale)
+    assert not any(a.cleared_rows[0][3]) and any(a.cleared_rows[0][1])
+    for cols in ((1, 3), (3, 0), (2, 7, 3, 1), (3,), (0,)):
+        got, want = cayley_columns(a, cols), ref_cayley_columns(a, cols)
+        assert repr(got) == repr(want)
+        assert [c.cleared for c in got] == [c.cleared for c in want]
+    assert cayley_columns(a, (3,))[0] == E[3]
+    # rows 0 and 5 are nonzero only at each other's column
+    rows = [[0] * 8 for _ in range(8)]
+    rows[0][5], rows[5][0], rows[1][2], rows[2][1] = 2, -2, 1, -1
+    a = Matrix8.scaled(rows, 3)
+    for cols in ((5, 0, 3), (1, 5)):
+        assert repr(cayley_columns(a, cols)) == repr(ref_cayley_columns(a, cols))
+
+
+def test_float_zero_tests_are_not_equality_with_zero():
+    """At epsilon 2, eq(x, 0) holds for every x but is_zero(9.0) does not:
+    the plane of norm 9 and a w of norm 9 are admissible."""
+    wide = FloatBackend(2)
+    p = OrientedPlane(E[1].scale(3.0), E[2].scale(3.0))
+    assert check_plane(p, wide) == 9.0
+    assert basis_b(p, E[4].scale(3.0), wide).norm_w == 9.0
+    with pytest.raises(FrameError, match="w must be nonzero"):
+        basis_b(p, E[4].scale(1.0), wide)
 
 
 def test_solve_linear_matches_reference_with_row_swaps():

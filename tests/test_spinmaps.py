@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -195,6 +197,66 @@ def test_f7_factors_commute():
     for i in range(4):
         for j in range(i + 1, 4):
             assert mat_eq(compose(factors[i], factors[j]), compose(factors[j], factors[i]))
+
+
+# --- the exact rotation product as a sum, against the chain of products ------
+
+
+def _chain(p, t, w=None, backend=EXACT):
+    """The four factors multiplied out by ``compose``."""
+    return reduce(compose, f7_factors(basis_b(p, w, backend), t, backend))
+
+
+def _angles():
+    """The quarter and half turns, then stereographic angles at 8-128 bits."""
+    rng = random.Random("f7-sum|angles")
+    yield CIRCLE_QUARTER
+    yield CIRCLE_HALF
+    for bits in (8, 16, 32, 64, 128):
+        top = 1 << bits
+        yield circle_from_parameter(F(rng.randrange(-top, top), rng.randrange(1, top)))
+
+
+@pytest.mark.parametrize("restrict", ["R7", "R5"])
+def test_exact_f7_equals_the_chain_of_factors(restrict):
+    for k in range(3):
+        p, _ = rand_inputs(k, restrict)
+        e = basis_b(p).elements
+        for w in (None, e[4].scale(F(2, 3)) + e[6].scale(F(-5, 7)) + e[7]):
+            for t in _angles():
+                got, want = f7(p, t, w), _chain(p, t, w)
+                assert got.cleared_rows == want.cleared_rows
+                assert repr(got) == repr(want)
+
+
+def test_triality_psi_quarter_equals_the_chain(monkeypatch):
+    products = []
+    product = spinmaps._rotation_product
+
+    def recording(frame, t, backend):
+        products.append((frame, t, product(frame, t, backend)))
+        return products[-1][2]
+
+    monkeypatch.setattr(spinmaps, "_rotation_product", recording)
+    for k in range(3):
+        p, t = rand_inputs(k)
+        assert triality_check(p, t).explicit_case_ok
+    assert [t for _, t, _ in products[1::2]] == [CIRCLE_QUARTER] * 3
+    for frame, t, got in products:
+        want = reduce(compose, f7_factors(frame, t))
+        assert got.cleared_rows == want.cleared_rows
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-15])
+def test_float_f7_keeps_the_bits_of_the_chain(epsilon):
+    backend = FloatBackend(epsilon)
+    for k in range(3):
+        for restrict in ("R7", "R5"):
+            p, t = (v.map_scalars(float) for v in rand_inputs(k, restrict))
+            for angle in (t, CIRCLE_QUARTER):
+                got = f7(p, angle, None, backend)
+                assert repr(got) == repr(_chain(p, angle, None, backend))
+                assert all(type(x) is float for row in got.rows for x in row)
 
 
 def test_f5_is_restriction():

@@ -322,3 +322,48 @@ def _verdicts(backend, seed):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_exact_and_float_verdicts_agree(seed):
     assert _verdicts("float", seed) == _verdicts("exact", seed)
+
+
+@pytest.fixture
+def square_calls(monkeypatch):
+    """The trials of every ``degree.verify_square`` call."""
+    calls = []
+    verify_square = degree.verify_square
+
+    def counting(seed, trials, *rest):
+        calls.append(trials)
+        return verify_square(seed, trials, *rest)
+
+    monkeypatch.setattr(degree, "verify_square", counting)
+    return calls
+
+
+def test_a_full_run_checks_the_commuting_square_once(square_calls):
+    assert run_verify_suite(RunConfig(trials=1))[0] == 0
+    assert square_calls == [1]
+
+
+@pytest.mark.parametrize("suite", ["commutative-square", "degree-ledger"])
+def test_a_square_suite_run_alone_checks_its_own_square(square_calls, suite):
+    assert run_verify_suite(RunConfig(trials=1), [suite])[0] == 0
+    assert square_calls == [1]
+    suites.SUITES[suite](scalar.EXACT, 42, 1)
+    assert square_calls == [1, 1]
+
+
+def test_the_ledger_caps_its_square_at_ten_trials(square_calls):
+    run_verify_suite(RunConfig(trials=12), ["commutative-square", "degree-ledger"])
+    assert square_calls == [12, 10]
+
+
+def test_no_square_survives_a_run(square_calls, monkeypatch):
+    names = ["commutative-square", "degree-ledger"]
+    assert run_verify_suite(RunConfig(trials=1), names)[0] == 0
+    failing = degree.SquareReport(1, (0,), 0)
+    monkeypatch.setattr(degree, "verify_square", lambda *args: failing)
+
+    code, report = run_verify_suite(RunConfig(trials=1), names)
+
+    red = {c["claim"] for claims in report["results"].values() for c in claims if not c["passed"]}
+    assert code == 1 and red == {"square.pointwise", "degree.ledger"}
+    assert square_calls == [1]
