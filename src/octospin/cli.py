@@ -45,7 +45,7 @@ def _parse_vector(text: str, backend: Backend) -> Octonion:
     text = text.strip()
     m = _BASIS_RE.match(text)
     if m:
-        return Octonion.basis(int(m.group(1))).map_scalars(backend.from_fraction)
+        return backend.convert(Octonion.basis(int(m.group(1))))
     parts = text.split(",")
     if len(parts) != 8:
         raise ValueError(f"vector must be e0..e7 or 8 comma-separated rationals, got {text!r}")

@@ -167,17 +167,13 @@ def verify_square(seed: int, trials: int, backend: Backend = EXACT) -> SquareRep
     """
     failures = []
     max_residual = 0
-    conv = backend.from_fraction
     for trial in range(trials):
         p7 = random_orthonormal_pair(seed, "R7", ("square", trial))
         p5 = random_orthonormal_pair(seed, "R5", ("square", trial))
         rng = derived_rng(seed, "square-angles", trial)
         t = circle_from_parameter(random_rational(rng, 8, 5))
         t2 = circle_from_parameter(random_rational(rng, 8, 5))
-        p7 = p7.map_scalars(conv)
-        p5 = p5.map_scalars(conv)
-        t = t.map_scalars(conv)
-        t2 = t2.map_scalars(conv)
+        p7, p5, t, t2 = map(backend.convert, (p7, p5, t, t2))
         lhs = project_double_cover(f7xf5(p7, t, p5, t2, backend))
         rhs = h70(p7, double_angle(t), p5, double_angle(t2), backend)
         if not mat_eq(lhs, rhs, backend):

@@ -20,12 +20,10 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
 from typing import Sequence, Tuple
 
 from .octonion import Octonion, Vector8, inner, inner_cleared, mul, norm_sq
-from .scalar import Backend, EXACT, Scalar, cleared, cleared_eq, derived_rng, quotient
+from .scalar import Backend, Cleared, EXACT, Scalar, cleared, cleared_eq, derived_rng, quotient
 
 
 class PlaneError(ValueError):
@@ -62,15 +60,24 @@ def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> Scalar:
 
 
 @dataclass(frozen=True)
-class Matrix8:
+class Matrix8(Cleared):
     """8x8 matrix, row-major, generic over the scalar backend.
 
-    A matrix from ``scaled`` holds only its cleared form until ``rows`` is
-    first read; equality, hashing and repr read ``rows``, so they see the
-    same values as for a matrix built from them.
+    A ``scalar.Cleared``: its cleared form is the 64 entries' numerators, flat
+    and row-major (row i is ``nums[8*i:8*i+8]``, column j ``nums[j::8]``), and
+    one from ``scaled`` builds ``rows`` on first read.
     """
 
     rows: Tuple[Tuple[Scalar, ...], ...]
+
+    _field = "rows"
+
+    @staticmethod
+    def _shape(flat):
+        return tuple(tuple(flat[i:i + 8]) for i in range(0, 64, 8))
+
+    def _flat(self):
+        return [x for row in self.rows for x in row]
 
     @staticmethod
     def identity() -> "Matrix8":
@@ -84,54 +91,14 @@ class Matrix8:
             raise ValueError("matrix needs 8x8 entries")
         return Matrix8(rows)
 
-    @staticmethod
-    def scaled(nums, scale) -> "Matrix8":
-        """The matrix with entries nums[i][j] / scale, for a kernel result.
-
-        On an int scale the pair is divided by the gcd of the scale and all
-        64 numerators, which makes it the cleared form of the reduced
-        Fractions, and kept as ``cleared_rows``; the rows are built on first
-        read.  A float scale is divided out at once, as by ``quotient``.
-        """
-        if type(scale) is not int:
-            return Matrix8(tuple(tuple([x / scale for x in row]) for row in nums))
-        g = math.gcd(scale, *chain.from_iterable(nums))
-        if g != 1:
-            nums, scale = [[x // g for x in row] for row in nums], scale // g
-        m = object.__new__(Matrix8)
-        m.__dict__["cleared_rows"] = (nums, scale)
-        return m
-
-    def __getattr__(self, name):
-        """Build ``rows`` of a ``scaled`` matrix on first read."""
-        if name != "rows" or "cleared_rows" not in self.__dict__:
-            raise AttributeError(name)
-        nums, scale = self.__dict__["cleared_rows"]
-        rows = tuple(tuple(quotient(x, scale) for x in row) for row in nums)
-        self.__dict__["rows"] = rows
-        return rows
-
     def column(self, j: int) -> Vector8:
-        nums, scale = self.cleared_rows
-        return Octonion.scaled([row[j] for row in nums], scale)
+        nums, scale = self.cleared
+        return Octonion.scaled(nums[j::8], scale)
 
     def transpose(self) -> "Matrix8":
         """The transpose, from the numerators transposed over the same scale."""
-        nums, scale = self.cleared_rows
-        return Matrix8.scaled([list(col) for col in zip(*nums)], scale)
-
-    def __neg__(self) -> "Matrix8":
-        return Matrix8(tuple(tuple(-x for x in row) for row in self.rows))
-
-    def map_scalars(self, fn) -> "Matrix8":
-        return Matrix8(tuple(tuple(fn(x) for x in row) for row in self.rows))
-
-    @cached_property
-    def cleared_rows(self):
-        """The rows of ``cleared`` numerators of all 64 entries, and their
-        scale, computed once per matrix; not a field, like ``Octonion.cleared``."""
-        nums, scale = cleared([x for row in self.rows for x in row])
-        return [nums[i:i + 8] for i in range(0, 64, 8)], scale
+        nums, scale = self.cleared
+        return Matrix8.scaled([x for j in range(8) for x in nums[j::8]], scale)
 
 
 #: The identity in ints, which subtract exactly from Fractions and floats alike.
@@ -140,31 +107,29 @@ _IDENTITY = Matrix8(tuple(tuple(int(i == j) for j in range(8)) for i in range(8)
 
 def compose(a: Matrix8, b: Matrix8) -> Matrix8:
     """Matrix product a*b (apply b first, then a), on cleared numerators."""
-    (rows, sa), (brows, sb) = a.cleared_rows, b.cleared_rows
-    cols = tuple(zip(*brows))
-    return Matrix8.scaled(
-        [[sum(map(operator.mul, row, col)) for col in cols] for row in rows], sa * sb
-    )
+    (an, sa), (bn, sb) = a.cleared, b.cleared
+    rows, cols = [an[8 * i:8 * i + 8] for i in range(8)], [bn[j::8] for j in range(8)]
+    return Matrix8.scaled([sum(map(operator.mul, row, col)) for row in rows for col in cols],
+                          sa * sb)
 
 
 def apply(a: Matrix8, z: Vector8) -> Vector8:
     """Matrix-vector product, on cleared numerators."""
-    (rows, sa), (zn, sz) = a.cleared_rows, z.cleared
-    return Octonion.scaled([sum(map(operator.mul, row, zn)) for row in rows], sa * sz)
+    (an, sa), (zn, sz) = a.cleared, z.cleared
+    return Octonion.scaled([sum(map(operator.mul, an[8 * i:8 * i + 8], zn)) for i in range(8)],
+                           sa * sz)
 
 
 def mat_eq(a: Matrix8, b: Matrix8, backend: Backend = EXACT) -> bool:
     """Entrywise equality for the backend, on the cleared numerators."""
-    (an, sa), (bn, sb) = a.cleared_rows, b.cleared_rows
-    return cleared_eq(chain.from_iterable(an), sa, chain.from_iterable(bn), sb, backend)
+    return cleared_eq(*a.cleared, *b.cleared, backend)
 
 
 def max_abs_diff(a: Matrix8, b: Matrix8) -> Scalar:
     """Largest entry-wise |a - b|, as max |x*sb - y*sa| / (sa*sb) on the
     cleared numerators x over sa of a and y over sb of b."""
-    (an, sa), (bn, sb) = a.cleared_rows, b.cleared_rows
-    pairs = zip(chain.from_iterable(an), chain.from_iterable(bn))
-    return quotient(max([0] + [abs(x * sb - y * sa) for x, y in pairs]), sa * sb)
+    (an, sa), (bn, sb) = a.cleared, b.cleared
+    return quotient(max([0] + [abs(x * sb - y * sa) for x, y in zip(an, bn)]), sa * sb)
 
 
 def _bareiss(m, n: int, below: bool):
@@ -192,9 +157,9 @@ def determinant(m: Matrix8) -> Scalar:
     Fraction, from forward ``_bareiss`` ending on +-det(N) = +-s^8 det(M).  A
     float matrix keeps the signed product of the pivots of elimination with
     partial pivoting in its own scalars, ints taken as Fractions."""
-    nums, scale = m.cleared_rows
+    nums, scale = m.cleared
     if type(scale) is int:
-        sign, last = _bareiss([row[:] for row in nums], 8, True)
+        sign, last = _bareiss([nums[8 * i:8 * i + 8] for i in range(8)], 8, True)
         return Fraction(sign * last, scale ** 8)
     rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in m.rows]
     det = 1
@@ -252,14 +217,12 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     else:
         u, v, suv = p.u.coords, p.v.coords, 1.0
     scale = sab * suv * suv
-    rows = []
+    nums = []
     for i in range(8):
-        row = []
         for j in range(8):
             num = a * (u[i] * u[j] + v[i] * v[j]) + b * (v[i] * u[j] - u[i] * v[j])
-            row.append(num + scale if i == j else num)
-        rows.append(row)
-    return Matrix8.scaled(rows, scale)
+            nums.append(num + scale if i == j else num)
+    return Matrix8.scaled(nums, scale)
 
 
 def rotate_plane_basis(p: OrientedPlane, s) -> OrientedPlane:
@@ -293,7 +256,8 @@ def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
     solved on ints on the block where N has nonzero rows; outside it a column
     is the identity column.
     """
-    n, d = a.cleared_rows
+    nums, d = a.cleared
+    n = [nums[8 * i:8 * i + 8] for i in range(8)]
     if any(n[i][j] != -n[j][i] for i in range(8) for j in range(8)):
         raise ValueError("matrix must be antisymmetric")
     block = [i for i in range(8) if any(n[i])]
@@ -322,12 +286,12 @@ def random_antisymmetric(rng: random.Random, support: Sequence[int]) -> Matrix8:
     """Random antisymmetric rational matrix, entries p/q with p in [-5, 5],
     q in [1, 4], supported on the given coordinate block; built as the ints
     12p/q (q divides 12) ``scaled`` over 12."""
-    rows = [[0] * 8 for _ in range(8)]
+    nums = [0] * 64
     for ai, i in enumerate(support):
         for j in support[ai + 1:]:
             x = rng.randint(-5, 5) * 12 // rng.randint(1, 4)
-            rows[i][j], rows[j][i] = x, -x
-    return Matrix8.scaled(rows, 12)
+            nums[8 * i + j], nums[8 * j + i] = x, -x
+    return Matrix8.scaled(nums, 12)
 
 
 def random_orthonormal_pair(seed: int, restrict_to: str = "R7", index=0) -> OrientedPlane:

@@ -18,15 +18,13 @@ ints, which mix exactly with Fractions and floats alike.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Tuple
 
-from .scalar import Backend, EXACT, Scalar, cleared, cleared_eq, quotient, random_rational
+from .scalar import Backend, Cleared, EXACT, Scalar, cleared_eq, quotient, random_rational
 
 FANO_CYCLES: Tuple[Tuple[int, int, int], ...] = (
     (1, 2, 3),
@@ -61,51 +59,21 @@ FANO_SIGN, FANO_INDEX = _build_tables()
 
 
 @dataclass(frozen=True)
-class Octonion:
+class Octonion(Cleared):
     """An octonion (equivalently, a vector of R^8) as 8 scalar coordinates.
 
-    An octonion from ``scaled`` holds only its cleared form until
-    ``coords`` is first read; equality, hashing and repr read ``coords``,
-    so they see the same values as for an octonion built from them.
+    A ``scalar.Cleared``: its cleared form is the 8 coordinates' numerators,
+    and one from ``scaled`` builds ``coords`` on first read.
     """
 
     coords: Tuple[Scalar, ...]
 
+    _field = "coords"
+    _shape = staticmethod(tuple)
+
     def __post_init__(self):
         if len(self.coords) != 8:
             raise ValueError("octonion needs exactly 8 coordinates")
-
-    @staticmethod
-    def scaled(nums, scale) -> "Octonion":
-        """The octonion with coordinates nums[i] / scale, for a kernel result.
-
-        On an int scale the pair is divided by ``gcd(scale, *nums)``, which
-        makes it ``scalar.cleared`` of the reduced Fractions, and kept as
-        ``cleared``; the coordinates are built on first read.  A float scale
-        is divided out at once, as ``quotient`` would.
-        """
-        if type(scale) is not int:
-            return Octonion(tuple([x / scale for x in nums]))
-        g = math.gcd(scale, *nums)
-        if g != 1:
-            nums, scale = [x // g for x in nums], scale // g
-        a = object.__new__(Octonion)
-        a.__dict__["cleared"] = (nums, scale)
-        return a
-
-    def __getattr__(self, name):
-        """Build ``coords`` of a ``scaled`` octonion on first read."""
-        if name != "coords" or "cleared" not in self.__dict__:
-            raise AttributeError(name)
-        nums, scale = self.__dict__["cleared"]
-        coords = self.__dict__["coords"] = tuple(quotient(x, scale) for x in nums)
-        return coords
-
-    @cached_property
-    def cleared(self):
-        """``scalar.cleared`` of the coordinates; not a field, so equality,
-        hashing and repr see only ``coords``."""
-        return cleared(self.coords)
 
     @staticmethod
     def basis(i: int) -> "Octonion":
@@ -119,14 +87,8 @@ class Octonion:
     def __sub__(self, other: "Octonion") -> "Octonion":
         return Octonion(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coords))
-
     def scale(self, k: Scalar) -> "Octonion":
         return Octonion(tuple(k * a for a in self.coords))
-
-    def map_scalars(self, fn) -> "Octonion":
-        return Octonion(tuple(fn(a) for a in self.coords))
 
 
 #: Vectors of R^8 are octonion coordinate vectors; Im O (= R^7) is the

@@ -10,12 +10,13 @@ whichever backend its inputs came from.
 The cleared form of a list of scalars is ``cleared``: Python-int numerators
 over one positive int scale for rationals and ints, and the values themselves
 over 1.0 once a float is among them.  Octonions and matrices keep it per
-object (``Octonion.cleared``, ``Matrix8.cleared_rows``).  The kernels ``mul``,
-``right_divide``, ``compose``, ``apply``, ``plane_rotation``, ``project_out``,
-``transpose``, ``column`` and ``random_antisymmetric`` return numerators over
-one scale through ``Octonion.scaled`` / ``Matrix8.scaled``: an int scale is
-reduced by one gcd and kept, the values built with ``quotient`` on first read;
-a float scale is divided out at once, which leaves every float bit unchanged.
+object, as the ``Cleared`` base class's ``cleared``: the flat 8 coordinates,
+or the 64 matrix entries row-major.  The kernels ``mul``, ``right_divide``,
+``compose``, ``apply``, ``plane_rotation``, ``project_out``, ``transpose``,
+``column`` and ``random_antisymmetric`` return numerators over one scale
+through ``Cleared.scaled``: an int scale is reduced by one gcd and kept, the
+values built with ``quotient`` on first read; a float scale is divided out at
+once, which leaves every float bit unchanged.
 Equality (``cleared_eq``), the residual ``max_abs_diff`` and the relation
 g(a) g~(b) = g~(a*b) compare x*sb with y*sa on the numerators; the Bareiss
 ``determinant`` and ``solve_linear`` build Fractions only for their results.
@@ -31,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -41,6 +43,10 @@ class ExactBackend:
 
     def from_fraction(self, q: Fraction) -> Fraction:
         return q
+
+    def convert(self, x):
+        """An exact value on this backend: the value itself."""
+        return x
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         return a == b
@@ -77,6 +83,10 @@ class FloatBackend:
 
     def from_fraction(self, q: Fraction) -> float:
         return float(q)
+
+    def convert(self, x):
+        """An exact value (octonion, matrix, plane or circle point) in floats."""
+        return x.map_scalars(self.from_fraction)
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         """Within the tolerance; never when |a - b| is infinite or NaN, as an
@@ -149,6 +159,62 @@ def cleared_eq(xs, sa, ys, sb, backend) -> bool:
     return all(backend.eq(quotient(x, sa), quotient(y, sb)) for x, y in zip(xs, ys))
 
 
+class Cleared:
+    """Scalars kept as one flat list of entries, with their cleared form.
+
+    A subclass is a frozen dataclass whose one field, named by ``_field``,
+    holds the values, and its ``_shape`` turns a flat list of entries into
+    that field's value; ``_flat`` reads the field back as a flat list.  An
+    object from ``scaled`` holds only its cleared form until the field is
+    first read; equality, hashing and repr read the field, so they see the
+    same values as for an object built from them.
+    """
+
+    _field: str
+
+    def _flat(self):
+        """The entries as one flat list (the field itself when it is flat)."""
+        return getattr(self, self._field)
+
+    @classmethod
+    def scaled(cls, nums, scale):
+        """The object with entries nums[i] / scale, for a kernel result.
+
+        On an int scale the pair is divided by ``gcd(scale, *nums)``, which
+        makes it ``cleared`` of the reduced Fractions, and kept as
+        ``cleared``; the entries are built on first read.  A float scale is
+        divided out at once, as ``quotient`` would.
+        """
+        if type(scale) is not int:
+            return cls(cls._shape([x / scale for x in nums]))
+        g = math.gcd(scale, *nums)
+        if g != 1:
+            nums, scale = [x // g for x in nums], scale // g
+        obj = object.__new__(cls)
+        obj.__dict__["cleared"] = (nums, scale)
+        return obj
+
+    def __getattr__(self, name):
+        """Build the field of a ``scaled`` object on first read."""
+        if name != self._field or "cleared" not in self.__dict__:
+            raise AttributeError(name)
+        nums, scale = self.__dict__["cleared"]
+        value = self.__dict__[name] = self._shape([quotient(x, scale) for x in nums])
+        return value
+
+    @cached_property
+    def cleared(self):
+        """``cleared`` of the flat entries; not a field, so equality, hashing
+        and repr see only the values."""
+        return cleared(self._flat())
+
+    def map_scalars(self, fn):
+        return type(self)(self._shape([fn(x) for x in self._flat()]))
+
+    def __neg__(self):
+        return type(self)(self._shape([-x for x in self._flat()]))
+
+
 def make_backend(name: str, epsilon: float = 1e-9) -> Backend:
     """Build a backend from its config name ("exact" or "float")."""
     if name == "exact":
@@ -210,8 +276,7 @@ def parse_circle_point(text: str, backend: Backend = EXACT) -> CirclePoint:
     """Parse "c,s" or a stereographic parameter "u=p/q" into a CirclePoint."""
     text = text.strip()
     if text.startswith("u="):
-        p = circle_from_parameter(Fraction(text[2:]))
-        return p.map_scalars(backend.from_fraction)
+        return backend.convert(circle_from_parameter(Fraction(text[2:])))
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'c,s' or 'u=p/q', got {text!r}")

@@ -58,7 +58,6 @@ from .scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
-    ExactBackend,
     Scalar,
     cleared,
     cleared_eq,
@@ -187,17 +186,17 @@ def f7_factors(
 
 def _rotation_product(frame: FrameB, t: CirclePoint, backend: Backend) -> Matrix8:
     """The product of the four ``f7_factors``: their planes are orthogonal, so it
-    is I + sum_k (R_k - I), taken so over the lcm of int scales on the exact
-    backend.  Floats keep the chain and its bits; their frame is orthogonal only
-    within the tolerance."""
+    is I + sum_k (R_k - I), taken so over the lcm of the factors' scales when
+    every one is an int.  Float factors keep the chain and its bits; their
+    frame is orthogonal only within the tolerance."""
     factors = f7_factors(frame, t, backend)
-    forms = [m.cleared_rows for m in factors]
-    if not isinstance(backend, ExactBackend) or any(type(s) is not int for _, s in forms):
+    forms = [m.cleared for m in factors]
+    if any(type(s) is not int for _, s in forms):
         return reduce(compose, factors)
     scale = math.lcm(*(s for _, s in forms))
     terms = [(nums, scale // s) for nums, s in forms]
-    return Matrix8.scaled([[sum(nums[i][j] * k for nums, k in terms) - 3 * scale * (i == j)
-                            for j in range(8)] for i in range(8)], scale)
+    return Matrix8.scaled([sum(nums[8 * i + j] * k for nums, k in terms) - 3 * scale * (i == j)
+                           for i in range(8) for j in range(8)], scale)
 
 
 def f7(
@@ -263,14 +262,14 @@ def project_double_cover(gt: Matrix8) -> Matrix8:
     ``Matrix8.scaled`` over nn.  Raises ZeroDivisionError when g~(e0) is
     exactly zero.
     """
-    nums, _ = gt.cleared_rows
-    cols = list(zip(*nums))
+    nums, _ = gt.cleared
+    cols = [nums[j::8] for j in range(8)]
     nn = sum(x * x for x in cols[0])
     if not nn:
         raise ZeroDivisionError("division by the zero octonion")
     inv = conj_numerators(cols[0])
     cols = [(nn,) + (0,) * 7] + [mul_numerators(c, inv) for c in cols[1:]]
-    return Matrix8.scaled([list(row) for row in zip(*cols)], nn)
+    return Matrix8.scaled([col[i] for i in range(8) for col in cols], nn)
 
 
 @dataclass(frozen=True)
@@ -322,9 +321,11 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
     """Decide whether g~ lies in Spin(7).
 
     Extracts the unique candidate g with g(a) g~(e0) = g~(a), checks that g
-    fixes e0, preserves the imaginary subspace, and is special orthogonal,
-    and checks the relation g(ei) * g~(ej) = g~(ei*ej) on all 64 basis
-    pairs (bilinearity extends the basis check to all octonion pairs).
+    fixes e0 and is special orthogonal, and checks the relation
+    g(ei) * g~(ej) = g~(ei*ej) on all 64 basis pairs (bilinearity extends the
+    basis check to all octonion pairs).  A g in SO(8) fixing e0 preserves the
+    imaginary subspace: once g(e0) = e0, the first row of g^T g is the first
+    row of g, so the ``so_check`` residual bounds it.
 
     When |g~(e0)|^2 is zero for the backend (the test ``right_divide``
     applies) there is no candidate: the report is a non-member with a zero
@@ -334,9 +335,7 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
         return MembershipReport(Matrix8(((0,) * 8,) * 8), (), False, False)
     g = project_double_cover(gt)
     fixes_e0 = oct_eq(g.column(0), Octonion.basis(0), backend)
-    (first_row, *_), scale = g.cleared_rows
-    maps_im = all(backend.is_zero_over(x, scale) for x in first_row[1:])
-    in_so7 = fixes_e0 and maps_im and so_check(g, backend).passed
+    in_so7 = fixes_e0 and so_check(g, backend).passed
     g_cols, cols = ([m.column(j) for j in range(8)] for m in (g, gt))
     basis_table = [[(FANO_SIGN[i][j], FANO_INDEX[i][j], 0) for j in range(8)] for i in range(8)]
     failures = _relation_failures(g_cols, cols, basis_table, 1, backend)

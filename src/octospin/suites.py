@@ -61,7 +61,6 @@ from .scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
-    ExactBackend,
     angle_sum,
     circle_from_parameter,
     derived_rng,
@@ -152,7 +151,8 @@ def _describe(x, backend: Backend):
 def _run(entry: Claim, backend: Backend, seed: int, trials: int, squares) -> List[dict]:
     """Check every instance of one table entry and build its report records.
 
-    Exact inputs pass as generated.  A ValueError or ArithmeticError raised
+    Inputs of the ``_BACKEND_VALUES`` types go through ``backend.convert``
+    (exact ones pass as generated).  A ValueError or ArithmeticError raised
     by the check becomes a failure record of that instance for each claim;
     errors raised while generating inputs, and other exception types, propagate.
     """
@@ -160,10 +160,8 @@ def _run(entry: Claim, backend: Backend, seed: int, trials: int, squares) -> Lis
     tallies = {cid: Tally(0, [], None) for cid in ids}
     run = (seed, trials, squares) if entry.inputs is _run_config else (seed, trials)
     for k, exact_inputs in enumerate(entry.inputs(*run)):
-        inputs = exact_inputs if isinstance(backend, ExactBackend) else [
-            x.map_scalars(backend.from_fraction) if isinstance(x, _BACKEND_VALUES) else x
-            for x in exact_inputs
-        ]
+        inputs = [backend.convert(x) if isinstance(x, _BACKEND_VALUES) else x
+                  for x in exact_inputs]
         try:
             verdicts = entry.check(backend, *inputs)
         except (ValueError, ArithmeticError) as err:

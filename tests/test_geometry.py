@@ -196,10 +196,9 @@ def test_cayley_columns_on_the_support_block_match_the_full_solve(support):
 
 def test_cayley_columns_with_a_zero_row_inside_the_support():
     a = random_antisymmetric(derived_rng(13, "zero-row"), SUBSPACE_COORDS["R7"])
-    nums, scale = a.cleared_rows
-    rows = [[0 if 3 in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(nums)]
-    a = Matrix8.scaled(rows, scale)
-    assert not any(a.cleared_rows[0][3]) and any(a.cleared_rows[0][1])
+    nums, scale = a.cleared
+    a = Matrix8.scaled([0 if 3 in divmod(k, 8) else x for k, x in enumerate(nums)], scale)
+    assert not any(a.cleared[0][24:32]) and any(a.cleared[0][8:16])
     for cols in ((1, 3), (3, 0), (2, 7, 3, 1), (3,), (0,)):
         got, want = cayley_columns(a, cols), ref_cayley_columns(a, cols)
         assert repr(got) == repr(want)
@@ -208,7 +207,7 @@ def test_cayley_columns_with_a_zero_row_inside_the_support():
     # rows 0 and 5 are nonzero only at each other's column
     rows = [[0] * 8 for _ in range(8)]
     rows[0][5], rows[5][0], rows[1][2], rows[2][1] = 2, -2, 1, -1
-    a = Matrix8.scaled(rows, 3)
+    a = Matrix8.scaled([x for row in rows for x in row], 3)
     for cols in ((5, 0, 3), (1, 5)):
         assert repr(cayley_columns(a, cols)) == repr(ref_cayley_columns(a, cols))
 

@@ -2,17 +2,18 @@
 
 ``compose``, ``apply``, ``mul``, ``right_divide``, ``inner`` and
 ``plane_rotation`` work on the integer numerators of ``scalar.cleared``, kept
-per object as ``Octonion.cleared`` and ``Matrix8.cleared_rows``.  Exact
+per object as ``cleared`` (a matrix's 64 entries flat and row-major).  Exact
 results hold only their reduced cleared form (``Matrix8.scaled``,
-``Octonion.scaled``) and build each entry with ``scalar.quotient`` on first
-read.  The references below are the direct Fraction/float formulas: on exact
-inputs the kernels must give the same values as reduced Fractions, and on
-float inputs (mixed with int basis entries, Fractions and int zeros) the same
-bits.  ``mat_eq``, ``oct_eq``, ``max_abs_diff``, the ``so_check`` residual and
-``project_double_cover`` are checked against the entrywise, inline and
-column-by-column versions they replace; ``determinant``, ``project_out``,
-``complement_vector`` and ``random_antisymmetric``, fraction-free on ints,
-against the Fraction elimination, Gram-Schmidt and build they replace.
+``Octonion.scaled``, both ``scalar.Cleared.scaled``) and build each entry with
+``scalar.quotient`` on first read.  The references below are the direct
+Fraction/float formulas: on exact inputs the kernels must give the same values
+as reduced Fractions, and on float inputs (mixed with int basis entries,
+Fractions and int zeros) the same bits.  ``mat_eq``, ``oct_eq``,
+``max_abs_diff``, the ``so_check`` residual and ``project_double_cover`` are
+checked against the entrywise, inline and column-by-column versions they
+replace; ``determinant``, ``project_out``, ``complement_vector`` and
+``random_antisymmetric``, fraction-free on ints, against the Fraction
+elimination, Gram-Schmidt and build they replace.
 """
 
 import dataclasses
@@ -303,9 +304,8 @@ def test_cleared_form_is_kept_per_object_and_is_not_a_field():
         assert fresh == x and hash(fresh) == hash(x) and repr(fresh) == repr(x)
     for a in matrices:
         fresh = Matrix8(a.rows)
-        nums, scale = cleared([e for row in a.rows for e in row])
-        assert a.cleared_rows == ([nums[i:i + 8] for i in range(0, 64, 8)], scale)
-        assert a.cleared_rows is a.cleared_rows
+        assert a.cleared == cleared([e for row in a.rows for e in row])
+        assert a.cleared is a.cleared
         assert fresh == a and hash(fresh) == hash(a) and repr(fresh) == repr(a)
     assert [f.name for f in dataclasses.fields(Octonion)] == ["coords"]
     assert [f.name for f in dataclasses.fields(Matrix8)] == ["rows"]
@@ -405,12 +405,9 @@ def test_exact_results_hold_the_reduced_cleared_form_until_read(bits):
         for got, want in _exact_results(rng, bits):
             field = "rows" if isinstance(got, Matrix8) else "coords"
             assert field not in vars(got)
-            form = got.cleared_rows if isinstance(got, Matrix8) else got.cleared
-            scale = form[1]
+            flat, scale = got.cleared
             assert type(scale) is int and scale > 0
-            nums, den = cleared(_entries(want))
-            flat = [n for row in form[0] for n in row] if isinstance(got, Matrix8) else form[0]
-            assert (flat, scale) == (nums, den)
+            assert (flat, scale) == cleared(_entries(want))
             eager = _eager(want)
             assert got == eager and eager == got
             assert hash(got) == hash(eager) and repr(got) == repr(eager)
@@ -418,12 +415,24 @@ def test_exact_results_hold_the_reduced_cleared_form_until_read(bits):
             _assert_exact_equal(got, want)
 
 
+def test_map_scalars_and_negation_of_scaled_results_match_the_eager_ones():
+    g = f7(random_orthonormal_pair(4), circle_from_parameter(F(5, 13)))
+    x = g.column(3)
+    assert "rows" not in vars(g) and "coords" not in vars(x)
+    for fn in (lambda a: -a, lambda a: a.map_scalars(lambda q: 3 * q),
+               lambda a: a.map_scalars(float)):
+        for scaled in (g, x):
+            got, want = fn(scaled), fn(_eager(scaled))
+            assert got == want and repr(got) == repr(want)
+            assert got.cleared == want.cleared
+
+
 def test_transpose_and_column_pass_the_numerators_on():
     g = f7(random_orthonormal_pair(5), circle_from_parameter(F(2, 11)))
     assert "rows" not in vars(g)
     gt = g.transpose()
-    nums, scale = g.cleared_rows
-    assert gt.cleared_rows == ([list(col) for col in zip(*nums)], scale)
+    nums, scale = g.cleared
+    assert gt.cleared == ([nums[8 * i + j] for j in range(8) for i in range(8)], scale)
     assert "rows" not in vars(g) and "rows" not in vars(gt)
     assert gt == Matrix8(tuple(zip(*g.rows)))
     for j in range(8):
@@ -452,8 +461,7 @@ def test_float_results_are_values_over_one():
         for got, want in pairs:
             _assert_same_bits(got, want)
             if isinstance(got, Matrix8):
-                nums, scale = got.cleared_rows
-                assert ([e for row in nums for e in row], scale) == (_entries(got), 1.0)
+                assert got.cleared == (_entries(got), 1.0)
             else:
                 assert got.cleared == (got.coords, 1.0)
 
@@ -477,8 +485,8 @@ def ref_max_abs_diff(a, b):
 def ref_residual(m):
     """The residual of M^T M - I as so_check took it inline: max |N - s I| / s
     on the cleared numerators N over s of M^T M."""
-    nums, s = ref_compose(Matrix8(tuple(zip(*m.rows))), m).cleared_rows
-    diffs = [abs(x - s * (i == j)) for i, row in enumerate(nums) for j, x in enumerate(row)]
+    nums, s = ref_compose(Matrix8(tuple(zip(*m.rows))), m).cleared
+    diffs = [abs(nums[8 * i + j] - s * (i == j)) for i in range(8) for j in range(8)]
     return quotient(max([0] + diffs), s)
 
 
@@ -746,7 +754,7 @@ def test_random_antisymmetric_matches_the_fraction_build(support):
         rng, ref_rng = derived_rng(k, "antisymmetric"), derived_rng(k, "antisymmetric")
         got, want = random_antisymmetric(rng, support), ref_random_antisymmetric(ref_rng, support)
         assert "rows" not in vars(got)
-        assert got.cleared_rows == want.cleared_rows
+        assert got.cleared == want.cleared
         assert repr(got) == repr(want)
         assert rng.randrange(8) == ref_rng.randrange(8)
 

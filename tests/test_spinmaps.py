@@ -225,7 +225,7 @@ def test_exact_f7_equals_the_chain_of_factors(restrict):
         for w in (None, e[4].scale(F(2, 3)) + e[6].scale(F(-5, 7)) + e[7]):
             for t in _angles():
                 got, want = f7(p, t, w), _chain(p, t, w)
-                assert got.cleared_rows == want.cleared_rows
+                assert got.cleared == want.cleared
                 assert repr(got) == repr(want)
 
 
@@ -244,7 +244,21 @@ def test_triality_psi_quarter_equals_the_chain(monkeypatch):
     assert [t for _, t, _ in products[1::2]] == [CIRCLE_QUARTER] * 3
     for frame, t, got in products:
         want = reduce(compose, f7_factors(frame, t))
-        assert got.cleared_rows == want.cleared_rows
+        assert got.cleared == want.cleared
+
+
+def test_exact_inputs_on_the_float_backend_take_the_sum():
+    """Exact planes and angles give factors over int scales on any backend;
+    their sum is the chain, exactly."""
+    backend = FloatBackend(1e-9)
+    for k in range(3):
+        for restrict in ("R7", "R5"):
+            p, t = rand_inputs(k, restrict)
+            factors = f7_factors(basis_b(p, None, backend), t, backend)
+            assert all(type(m.cleared[1]) is int for m in factors)
+            got, want = f7(p, t, None, backend), _chain(p, t, None, backend)
+            assert got.cleared == want.cleared
+            assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("epsilon", [1e-9, 1e-15])
@@ -358,6 +372,30 @@ def test_verify_spin7_zero_first_column_is_a_non_member(backend):
 # not, so right_divide would refuse it and there is no candidate to divide by.
 def test_verify_spin7_negligible_first_column_is_a_non_member():
     _assert_first_column_non_member(FloatBackend(1e-9), 1e-5)
+
+
+def _identity_with_first_row_entry(r, backend):
+    rows = [list(row) for row in backend.convert(Matrix8.identity()).rows]
+    rows[0][3] = r
+    return Matrix8.from_rows(rows)
+
+
+# g~ = I with g~[0][3] = r has g~(e0) = e0, so its candidate g is g~ itself.
+# g fixes e0, so the first row of g^T g is the first row (1, 0, 0, r, 0, ...)
+# of g: the residual of so_check bounds it, and so_check alone decides whether
+# g also maps Im O into itself.
+@pytest.mark.parametrize(
+    "backend, r",
+    [(EXACT, F(1, 10**4)), (EXACT, F(3, 10))]
+    + [(FloatBackend(eps), r) for eps in (1e-6, 2e-4, 0.5) for r in (1e-4, 0.3)],
+)
+def test_so_check_decides_whether_g_keeps_the_imaginary_subspace(backend, r):
+    gt = _identity_with_first_row_entry(r, backend)
+    g = project_double_cover(gt)
+    assert oct_eq(g.column(0), E[0], backend)
+    report = verify_spin7(gt, backend)
+    assert report.g_in_so7 == so_check(g, backend).passed
+    assert report.g_in_so7 == (backend is not EXACT and r <= backend.epsilon)
 
 
 def test_membership_report_serialization():
