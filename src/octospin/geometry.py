@@ -237,14 +237,15 @@ def solve_linear(a_rows: Sequence[Sequence[Scalar]], b_rows: Sequence[Sequence[S
 
     Fraction-free Gauss-Jordan elimination (``_bareiss`` on every other row)
     on the rows of [A | B] cleared to ints.  A ends as the last pivot times I,
-    so X is B's block over it.  Raises ZeroDivisionError when A is singular.
+    so X is B's block over it, returned as (int rows, pivot); the pivot may be
+    negative.  Raises ZeroDivisionError when A is singular.
     """
     n = len(a_rows)
     m = [cleared(list(a) + list(b))[0] for a, b in zip(a_rows, b_rows)]
     prev = _bareiss(m, n, False)[1]
     if not prev:
         raise ZeroDivisionError("singular linear system")
-    return [[Fraction(x, prev) for x in row[n:]] for row in m]
+    return [row[n:] for row in m], prev
 
 
 def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
@@ -254,7 +255,8 @@ def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
     (I - A) and (I + A)^-1 commute, so X is the transform in either factor
     order.  With A = N/d on its cleared rows, (d*I + N) X = (d*I - N) is
     solved on ints on the block where N has nonzero rows; outside it a column
-    is the identity column.
+    is the identity column.  Each column is ``Octonion.scaled`` over the
+    solve's pivot, det(d*I + N) > 0 on the block.
     """
     nums, d = a.cleared
     n = [nums[8 * i:8 * i + 8] for i in range(8)]
@@ -262,12 +264,13 @@ def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
         raise ValueError("matrix must be antisymmetric")
     block = [i for i in range(8) if any(n[i])]
     inside = [j for j in cols if j in block]
-    solved = dict(zip(block, solve_linear(
+    rows, pivot = solve_linear(
         [[d * (i == j) + n[i][j] for j in block] for i in block],
         [[d * (i == j) - n[i][j] for j in inside] for i in block],
-    ))) if inside else {}
-    return tuple(Octonion(tuple(solved[i][inside.index(j)] if i in solved and j in block
-                                else Fraction(i == j) for i in range(8))) for j in cols)
+    ) if inside else ([], 1)
+    solved = dict(zip(block, rows))
+    return tuple(Octonion.scaled([solved[i][inside.index(j)] if i in solved and j in block
+                                  else pivot * (i == j) for i in range(8)], pivot) for j in cols)
 
 
 def cayley_orthogonal(a: Matrix8) -> Matrix8:

@@ -13,13 +13,14 @@ over 1.0 once a float is among them.  Octonions and matrices keep it per
 object, as the ``Cleared`` base class's ``cleared``: the flat 8 coordinates,
 or the 64 matrix entries row-major.  The kernels ``mul``, ``right_divide``,
 ``compose``, ``apply``, ``plane_rotation``, ``project_out``, ``transpose``,
-``column`` and ``random_antisymmetric`` return numerators over one scale
-through ``Cleared.scaled``: an int scale is reduced by one gcd and kept, the
-values built with ``quotient`` on first read; a float scale is divided out at
-once, which leaves every float bit unchanged.
+``column``, ``random_antisymmetric`` and ``cayley_columns`` return numerators
+over one scale through ``Cleared.scaled``: an int scale is reduced by one gcd
+and kept, the values built as ``Fraction``s on first read; a float scale is
+divided out at once, which leaves every float bit unchanged.
 Equality (``cleared_eq``), the residual ``max_abs_diff`` and the relation
 g(a) g~(b) = g~(a*b) compare x*sb with y*sa on the numerators; the Bareiss
-``determinant`` and ``solve_linear`` build Fractions only for their results.
+``determinant`` builds a Fraction only for its result, and ``solve_linear``
+returns int rows over its last pivot.
 
 Rotation angles are never stored as radians.  A rotation parameter is a
 point (c, s) on the unit circle, so identities involving cos and sin reduce
@@ -135,10 +136,7 @@ def cleared(values):
 
 
 def quotient(n, scale):
-    """n / scale as the reduced ``Fraction(n, scale)`` on an int scale, else ``n / scale``.
-
-    Kernel results call it once per entry, when the entry is first read.
-    """
+    """n / scale as the reduced ``Fraction(n, scale)`` on an int scale, else ``n / scale``."""
     return Fraction(n, scale) if type(scale) is int else n / scale
 
 
@@ -195,11 +193,11 @@ class Cleared:
         return obj
 
     def __getattr__(self, name):
-        """Build the field of a ``scaled`` object on first read."""
+        """Build the field of a ``scaled`` object, whose scale is an int, on first read."""
         if name != self._field or "cleared" not in self.__dict__:
             raise AttributeError(name)
         nums, scale = self.__dict__["cleared"]
-        value = self.__dict__[name] = self._shape([quotient(x, scale) for x in nums])
+        value = self.__dict__[name] = self._shape([Fraction(x, scale) for x in nums])
         return value
 
     @cached_property

@@ -6,12 +6,14 @@ the angle t, through the mutually orthogonal planes
 
     [x, y], [e0, x*y], [w, w*(x*y)], [w*x, w*y],
 
-where w is any nonzero vector orthogonal to span{e0, x, y, x*y}.  Together
-with its restriction to planes inside span{e1..e5}, pointwise products of
-the two, and the projection to SO(7), this module provides everything the
-verification suites exercise: the eight-element frame and its product
-table, the double-cover projection, the Spin(7) membership decision
-procedure, and the octonion-multiplication compatibility check.
+where w is any nonzero vector orthogonal to span{e0, x, y, x*y}.  The planes
+span R^8, so the product is c*I + s*J, J the frame's complex structure on
+R^8 = C^4.  Together with its restriction to planes inside span{e1..e5},
+pointwise products of the two, and the projection to SO(7), this module
+provides everything the verification suites exercise: the eight-element
+frame and its product table, the double-cover projection, the Spin(7)
+membership decision procedure, and the octonion-multiplication compatibility
+check.
 
 Every frame multiplies like one signed table, ``FRAME_TABLE`` (N = |w|^2 on
 the w-block).  One loop checks a relation g(a) h(b) = h(a*b) against a table:
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Tuple
 
 from .geometry import (
@@ -82,6 +84,29 @@ class FrameB:
 
     elements: Tuple[Octonion, ...]
     norm_w: Scalar
+
+    def planes(self) -> Tuple[OrientedPlane, ...]:
+        """The planes [x, y], [e0, xy], [w, w(xy)], [wx, wy] of the f7 rotations."""
+        e0, x, y, xy, wv, wx, wy, wxy = self.elements
+        return tuple(map(OrientedPlane, (x, e0, wv, wx), (y, xy, wxy, wy)))
+
+    @cached_property
+    def complex_structure(self) -> Matrix8:
+        """J = sum_k (v_k u_k^T - u_k v_k^T) / N_k over the ``planes`` [u_k, v_k]
+        of exact elements: the ``_plane_term`` numerators over the lcm of their
+        denominators.  J^2 = -I, and the f7 product at t = (c, s) is c*I + s*J."""
+        terms = [_plane_term(q) for q in self.planes()]
+        den = math.lcm(*(d for _, d in terms))
+        return Matrix8.scaled([sum(n[k] * (den // d) for n, d in terms) for k in range(64)], den)
+
+
+def _plane_term(p: OrientedPlane):
+    """(v u^T - u v^T) / |u|^2 of the plane [u, v]: the flat int numerators
+    V_i U_j - U_i V_j over U.U, for u = U/S and v = V/S on one int scale S."""
+    (un, su), (vn, sv) = p.u.cleared, p.v.cleared
+    s = math.lcm(su, sv)
+    u, v = [x * (s // su) for x in un], [x * (s // sv) for x in vn]
+    return [b * c - a * d for a, b in zip(u, v) for c, d in zip(u, v)], sum(x * x for x in u)
 
 
 def basis_b(
@@ -172,31 +197,22 @@ def f7_factors(
     frame: FrameB, t: CirclePoint, backend: Backend = EXACT
 ) -> Tuple[Matrix8, Matrix8, Matrix8, Matrix8]:
     """The four commuting plane rotations at angle t whose product is the
-    Spin(7) map, through the planes [x, y], [e0, xy], [w, w(xy)], [wx, wy]
-    of a frame that ``basis_b`` built and validated."""
-    e0, x, y, xy, wv, wx, wy, wxy = frame.elements
-    planes = (
-        OrientedPlane(x, y),
-        OrientedPlane(e0, xy),
-        OrientedPlane(wv, wxy),
-        OrientedPlane(wx, wy),
-    )
-    return tuple(plane_rotation(q, t, backend) for q in planes)
+    Spin(7) map, through the ``planes`` of a frame that ``basis_b`` built and
+    validated."""
+    return tuple(plane_rotation(q, t, backend) for q in frame.planes())
 
 
 def _rotation_product(frame: FrameB, t: CirclePoint, backend: Backend) -> Matrix8:
-    """The product of the four ``f7_factors``: their planes are orthogonal, so it
-    is I + sum_k (R_k - I), taken so over the lcm of the factors' scales when
-    every one is an int.  Float factors keep the chain and its bits; their
-    frame is orthogonal only within the tolerance."""
-    factors = f7_factors(frame, t, backend)
-    forms = [m.cleared for m in factors]
-    if any(type(s) is not int for _, s in forms):
-        return reduce(compose, factors)
-    scale = math.lcm(*(s for _, s in forms))
-    terms = [(nums, scale // s) for nums, s in forms]
-    return Matrix8.scaled([sum(nums[8 * i + j] * k for nums, k in terms) - 3 * scale * (i == j)
-                           for i in range(8) for j in range(8)], scale)
+    """The product of the four ``f7_factors``.  On exact elements and angle it
+    is c*I + s*J: with J = JN/L the frame's ``complex_structure`` and
+    (c, s) = (C, S)/d, C*L on the diagonal plus S*JN, over d*L.  A float frame
+    or angle keeps the chain and its bits; a float frame is orthogonal only
+    within the tolerance."""
+    (c, s), d = cleared([t.c, t.s])
+    if type(d) is not int or any(type(e.cleared[1]) is not int for e in frame.elements):
+        return reduce(compose, f7_factors(frame, t, backend))
+    jn, den = frame.complex_structure.cleared
+    return Matrix8.scaled([s * x + (k % 9 == 0 and c * den) for k, x in enumerate(jn)], d * den)
 
 
 def f7(
@@ -208,7 +224,8 @@ def f7(
     """Product of the four plane rotations at angle t; lands in Spin(7).
 
     The result does not depend on the admissible w (nor on the spanning
-    pair chosen for the plane); w defaults as in ``basis_b``; see ``_rotation_product``.
+    pair chosen for the plane); w defaults as in ``basis_b``.  On exact input
+    it is c*I + s*J, see ``_rotation_product``.
     """
     return _rotation_product(basis_b(p, w, backend), t, backend)
 
@@ -259,12 +276,12 @@ def project_double_cover(gt: Matrix8) -> Matrix8:
 
     With g~ = G/S and |g~(e0)|^2 = nn/S^2, column i is
     (G_i conj(G_0)) / nn: one product of numerators per column, and one
-    ``Matrix8.scaled`` over nn.  Raises ZeroDivisionError when g~(e0) is
-    exactly zero.
+    ``Matrix8.scaled`` over nn, of the type of S (a float g~ may hold an int
+    first column).  Raises ZeroDivisionError when g~(e0) is exactly zero.
     """
-    nums, _ = gt.cleared
+    nums, scale = gt.cleared
     cols = [nums[j::8] for j in range(8)]
-    nn = sum(x * x for x in cols[0])
+    nn = type(scale)(sum(x * x for x in cols[0]))
     if not nn:
         raise ZeroDivisionError("division by the zero octonion")
     inv = conj_numerators(cols[0])
@@ -355,11 +372,11 @@ def triality_check(p: OrientedPlane, t: CirclePoint, backend: Backend = EXACT) -
     """Check g(a) psi(b) = psi(a*b) on all 64 ordered frame pairs.
 
     Here psi is the four-rotation ``_rotation_product`` at angle t on the
-    default-w frame and g the bare plane rotation at the doubled angle.  Also
-    checks the quarter-turn identity a * psi_quarter(b) = psi_quarter(a*b)
-    for frame elements a outside {x, y}, and the closed form g(x) psi(y) =
-    -s*e0 + c*xy.  The left sides are multiplied out; psi(a*b) is read from
-    ``FRAME_TABLE`` and the images of the frame, psi being linear.
+    default-w frame (c*I + s*J on exact input; psi_quarter is J) and g the bare
+    plane rotation at the doubled angle.  Also checks the quarter-turn identity
+    a * psi_quarter(b) = psi_quarter(a*b) for frame elements a outside {x, y},
+    and g(x) psi(y) = -s*e0 + c*xy.  The left sides are multiplied out;
+    psi(a*b) is read from ``FRAME_TABLE`` and the frame's images, psi linear.
     """
     frame = basis_b(p, None, backend)
     e, n = frame.elements, frame.norm_w

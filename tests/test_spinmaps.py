@@ -229,6 +229,38 @@ def test_exact_f7_equals_the_chain_of_factors(restrict):
                 assert repr(got) == repr(want)
 
 
+def _exact_frames():
+    """Random R7 and R5 frames, with the default w and a w of norm N != 1."""
+    for restrict in ("R7", "R5"):
+        for k in range(3):
+            p, _ = rand_inputs(k, restrict)
+            e = basis_b(p).elements
+            for w in (None, e[4].scale(F(2, 3)) + e[6].scale(F(-5, 7)) + e[7]):
+                yield basis_b(p, w)
+
+
+def test_complex_structure_is_antisymmetric_and_squares_to_minus_one():
+    minus_one = -Matrix8.identity()
+    for frame in _exact_frames():
+        j = frame.complex_structure
+        assert j is frame.complex_structure
+        assert j.transpose() == -j
+        assert compose(j, j) == minus_one
+        assert j.cleared == reduce(compose, f7_factors(frame, CIRCLE_QUARTER)).cleared
+
+
+def test_c_identity_plus_s_complex_structure_is_the_chain():
+    frames = list(_exact_frames())
+    assert norm_sq(frames[1].elements[4]) != 1
+    for frame in frames:
+        j = frame.complex_structure.rows
+        for t in _angles():
+            got = Matrix8.from_rows([[t.c * (i == k) + t.s * j[i][k] for k in range(8)]
+                                     for i in range(8)])
+            want = reduce(compose, f7_factors(frame, t))
+            assert got == want and got.cleared == want.cleared
+
+
 def test_triality_psi_quarter_equals_the_chain(monkeypatch):
     products = []
     product = spinmaps._rotation_product
@@ -396,6 +428,19 @@ def test_so_check_decides_whether_g_keeps_the_imaginary_subspace(backend, r):
     report = verify_spin7(gt, backend)
     assert report.g_in_so7 == so_check(g, backend).passed
     assert report.g_in_so7 == (backend is not EXACT and r <= backend.epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 2e-4])
+def test_float_matrix_with_an_int_first_column_gets_a_verdict(epsilon):
+    """The identity's int entries with one float: |g~(e0)|^2 is an int sum
+    but is taken over the float scale, so the candidate is divided at once."""
+    rows = [list(row) for row in Matrix8.identity().rows]
+    rows[0][3] = 1e-4
+    backend = FloatBackend(epsilon)
+    report = verify_spin7(Matrix8.from_rows(rows), backend)
+    assert all(type(x) is float for row in report.candidate_g.rows for x in row)
+    assert report.g_in_so7 == report.is_member == (1e-4 <= epsilon)
+    assert report.g_in_so7 == so_check(report.candidate_g, backend).passed
 
 
 def test_membership_report_serialization():

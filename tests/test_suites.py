@@ -105,8 +105,18 @@ def _swapped(p):
     return OrientedPlane(p.v, p.u)
 
 
-def _first_row_doubled(rows):
-    return [[2 * x for x in rows[0]]] + rows[1:]
+def _first_row_doubled(solution):
+    rows, pivot = solution
+    return [[2 * x for x in rows[0]]] + rows[1:], pivot
+
+
+def _over_n_again(term):
+    """The plane term (v u^T - u v^T) / N divided by N = |u|^2 once more."""
+    def divided(p):
+        nums, den = term(p)
+        (n,), s = scalar.cleared([norm_sq(p.u)])
+        return [x * s for x in nums], den * n
+    return divided
 
 
 def _with_element(frame, i, element):
@@ -185,6 +195,13 @@ _DEFECTS = {
         lambda original: lambda p, *rest: _identity_plus(original(p, *rest), 1 / norm_sq(p.u)),
         {"rotation.scaling-invariance", "f7.w-choice-invariance", "triality.quarter-turn"},
     ),
+    # On exact input f7 and triality read the frame's complex structure J,
+    # built by _plane_term, not the plane_rotation factors.
+    "plane-term-over-n-again": (
+        spinmaps._plane_term,
+        _over_n_again,
+        {"f7.w-choice-invariance", "triality.quarter-turn"},
+    ),
     "basis-rotation-swaps-pair": (
         geometry.rotate_plane_basis,
         lambda original: lambda *args: _swapped(original(*args)),
@@ -243,12 +260,18 @@ _DEFECTS = {
 }
 
 
+#: The backend each defect is declared for, when it is not exact: on floats f7
+#: still chains the plane_rotation factors.
+_DEFECT_BACKENDS = {"rotation-divides-by-n-squared": "float"}
+
+
 @pytest.mark.parametrize("defect", sorted(_DEFECTS))
 def test_defect_turns_named_claims_red(monkeypatch, defect):
     original, make_replacement, expected_red = _DEFECTS[defect]
     _patch_everywhere(monkeypatch, original, make_replacement(original))
 
-    code, report = run_verify_suite(RunConfig(backend="exact", seed=42, trials=1))
+    backend = _DEFECT_BACKENDS.get(defect, "exact")
+    code, report = run_verify_suite(RunConfig(backend=backend, seed=42, trials=1))
 
     red = {c["claim"] for claims in report["results"].values() for c in claims if not c["passed"]}
     assert code == 1
