@@ -11,9 +11,9 @@ assignment, given e1*e2 = e3 and the products e4*e1 = -e5, e4*e2 = e6,
 e4*e3 = -e7, under which the algebra is alternative and norm-multiplicative
 (the identity suites in :mod:`octospin.suites` re-check this on every run).
 
-``mul_numerators`` is the one Fano product loop, on coordinates or on the
-cleared numerators of :mod:`octospin.scalar`.  The basis octonions hold Python
-ints, which mix exactly with Fractions and floats alike.
+``mul_numerators`` is the one Fano product, generated from the tables, on
+coordinates or on the cleared numerators of :mod:`octospin.scalar`.  The basis
+octonions hold Python ints, which mix exactly with Fractions and floats alike.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ def _build_tables():
 #: FANO_SIGN[i][j], FANO_INDEX[i][j] encode ei*ej = FANO_SIGN * e_FANO_INDEX
 #: for imaginary i != j; rows/columns 0 encode the identity element.
 FANO_SIGN, FANO_INDEX = _build_tables()
+#: (sign table, index table, the product ``mul_numerators`` generated from them).
+_generated = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -97,22 +99,21 @@ Vector8 = Octonion
 
 
 def mul_numerators(an, bn) -> list:
-    """The Fano product loop: the eight coordinates of a*b for coordinate
-    (or cleared numerator) lists an and bn, not divided by any scale."""
-    out = [0] * 8
-    for i, ai in enumerate(an):
-        if not ai:
-            continue
-        srow = FANO_SIGN[i]
-        krow = FANO_INDEX[i]
-        for j, bj in enumerate(bn):
-            if not bj:
-                continue
-            if srow[j] > 0:
-                out[krow[j]] += ai * bj
-            else:
-                out[krow[j]] -= ai * bj
-    return out
+    """The eight coordinates of a*b for coordinate (or cleared numerator)
+    lists an and bn, not divided by any scale, by straight-line code generated
+    from the tables (again when either is rebound): coordinate k is the int 0
+    and then each signed ai*bj with FANO_INDEX[i][j] == k, in the order of i
+    and j, so a float sum never ends at -0.0.  Zero terms are summed too, so 0
+    times inf gives NaN; the CLI rejects non-finite input."""
+    global _generated
+    if _generated[0] is not FANO_SIGN or _generated[1] is not FANO_INDEX:
+        terms = [(FANO_INDEX[i][j], f"{'+' if FANO_SIGN[i][j] > 0 else '-'} a{i} * b{j}")
+                 for i in range(8) for j in range(8)]
+        sums = ", ".join(" ".join(["0"] + [t for k, t in terms if k == out]) for out in range(8))
+        a, b = (", ".join(f"{x}{i}" for i in range(8)) for x in "ab")
+        exec(f"def product(an, bn):\n {a} = an\n {b} = bn\n return [{sums}]", namespace := {})
+        _generated = (FANO_SIGN, FANO_INDEX, namespace["product"])
+    return _generated[2](an, bn)
 
 
 def mul(a: Octonion, b: Octonion) -> Octonion:

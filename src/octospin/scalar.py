@@ -11,12 +11,11 @@ The cleared form of a list of scalars is ``cleared``: Python-int numerators
 over one positive int scale for rationals and ints, and the values themselves
 over 1.0 once a float is among them.  Octonions and matrices keep it per
 object, as the ``Cleared`` base class's ``cleared``: the flat 8 coordinates,
-or the 64 matrix entries row-major.  The kernels ``mul``, ``right_divide``,
-``compose``, ``apply``, ``plane_rotation``, ``project_out``, ``transpose``,
-``column``, ``random_antisymmetric`` and ``cayley_columns`` return numerators
-over one scale through ``Cleared.scaled``: an int scale is reduced by one gcd
-and kept, the values built as ``Fraction``s on first read; a float scale is
-divided out at once, which leaves every float bit unchanged.
+or the 64 matrix entries row-major.  Kernel results (``mul``, ``compose``,
+``apply``, ``plane_rotation`` and others) are ``Cleared.scaled``: an int scale
+is reduced by one gcd and kept, the values built as ``Fraction``s on first
+read (``FloatBackend.convert`` divides the numerators instead); a float scale
+is divided out at once, which leaves every float bit unchanged.
 Equality (``cleared_eq``), the residual ``max_abs_diff`` and the relation
 g(a) g~(b) = g~(a*b) compare x*sb with y*sa on the numerators; the Bareiss
 ``determinant`` builds a Fraction only for its result, and ``solve_linear``
@@ -86,7 +85,13 @@ class FloatBackend:
         return float(q)
 
     def convert(self, x):
-        """An exact value (octonion, matrix, plane or circle point) in floats."""
+        """An exact value (octonion, matrix, plane or circle point) in floats;
+        unbuilt ``Cleared.scaled`` entries as n / scale, Fraction(n, scale) rounded."""
+        if not isinstance(x, (Cleared, CirclePoint)):  # an OrientedPlane
+            return type(x)(self.convert(x.u), self.convert(x.v))
+        if isinstance(x, Cleared) and x._field not in vars(x):
+            nums, scale = x.cleared
+            return type(x)(x._shape([n / scale for n in nums]))
         return x.map_scalars(self.from_fraction)
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
@@ -274,7 +279,11 @@ def parse_circle_point(text: str, backend: Backend = EXACT) -> CirclePoint:
     """Parse "c,s" or a stereographic parameter "u=p/q" into a CirclePoint."""
     text = text.strip()
     if text.startswith("u="):
-        return backend.convert(circle_from_parameter(Fraction(text[2:])))
+        try:
+            u = Fraction(text[2:])
+        except ZeroDivisionError:
+            raise ValueError(f"angle parameter {text} has a zero denominator") from None
+        return backend.convert(circle_from_parameter(u))
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'c,s' or 'u=p/q', got {text!r}")

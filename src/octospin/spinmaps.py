@@ -72,6 +72,7 @@ class FrameError(ValueError):
 
 
 FRAME_NAMES = ("e0", "x", "y", "xy", "w", "wx", "wy", "w(xy)")
+_UPPER = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,23 @@ class FrameB:
     def complex_structure(self) -> Matrix8:
         """J = sum_k (v_k u_k^T - u_k v_k^T) / N_k over the ``planes`` [u_k, v_k]
         of exact elements: the ``_plane_term`` numerators over the lcm of their
-        denominators.  J^2 = -I, and the f7 product at t = (c, s) is c*I + s*J."""
+        denominators, negated below.  J^2 = -I; f7 at (c, s) is c*I + s*J."""
         terms = [_plane_term(q) for q in self.planes()]
         den = math.lcm(*(d for _, d in terms))
-        return Matrix8.scaled([sum(n[k] * (den // d) for n, d in terms) for k in range(64)], den)
+        upper = map(sum, zip(*[[x * (den // d) for x in n] for n, d in terms]))
+        nums = [0] * 64
+        for (i, j), x in zip(_UPPER, upper):
+            nums[8 * i + j], nums[8 * j + i] = x, -x
+        return Matrix8.scaled(nums, den)
 
 
 def _plane_term(p: OrientedPlane):
-    """(v u^T - u v^T) / |u|^2 of the plane [u, v]: the flat int numerators
-    V_i U_j - U_i V_j over U.U, for u = U/S and v = V/S on one int scale S."""
+    """(v u^T - u v^T) / |u|^2 of the plane [u, v]: the int numerators V_i U_j -
+    U_i V_j, (i, j) in ``_UPPER``, over U.U, for u = U/S, v = V/S on one scale S."""
     (un, su), (vn, sv) = p.u.cleared, p.v.cleared
     s = math.lcm(su, sv)
     u, v = [x * (s // su) for x in un], [x * (s // sv) for x in vn]
-    return [b * c - a * d for a, b in zip(u, v) for c, d in zip(u, v)], sum(x * x for x in u)
+    return [v[i] * u[j] - u[i] * v[j] for i, j in _UPPER], sum(x * x for x in u)
 
 
 def basis_b(

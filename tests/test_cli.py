@@ -228,6 +228,13 @@ def test_eval_rejects_off_circle_angle():
                 "--backend", "float"]) == 2
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_eval_names_a_zero_denominator_angle_parameter(backend, capsys):
+    assert run(["eval", "f7", "--plane", "e1,e2", "--angle", "u=1/0",
+                "--backend", backend]) == 2
+    assert "angle parameter u=1/0 has a zero denominator" in capsys.readouterr().err
+
+
 def test_eval_rejects_bad_plane_geometry(capsys):
     # not orthogonal
     assert run(["eval", "f7", "--plane", "1,1,0,0,0,0,0,0;0,1,0,0,0,0,0,0",

@@ -191,6 +191,45 @@ def test_mul_reads_the_fano_tables_at_call_time(monkeypatch):
     assert mul(x, y) == ref_mul(x, y) == -before
 
 
+@pytest.mark.parametrize("bits", [8, 64, 200])
+def test_generated_product_matches_the_loop_on_exact_operands(bits):
+    rng = random.Random(f"product|{bits}")
+    for _ in range(20):
+        x, y = _exact_octonion(rng, bits), _exact_octonion(rng, bits)
+        _assert_exact_equal(mul(x, y), ref_mul(x, y))
+        keep = rng.sample(range(8), rng.randint(1, 3))
+        sparse = Octonion(tuple(c if i in keep else 0 for i, c in enumerate(x.coords)))
+        _assert_exact_equal(mul(sparse, y), ref_mul(sparse, y))
+        _assert_exact_equal(mul(y, sparse), ref_mul(y, sparse))
+        ints = [rng.randint(-(1 << bits), 1 << bits) for _ in range(16)]
+        got = octonion.mul_numerators(ints[:8], ints[8:])
+        assert got == list(ref_mul(Octonion(tuple(ints[:8])), Octonion(tuple(ints[8:]))).coords)
+        assert all(type(c) is int for c in got)
+
+
+def test_patched_then_restored_tables_give_back_the_product(monkeypatch):
+    rng = random.Random("product|restore")
+    x, y = _exact_octonion(rng, 32), _exact_octonion(rng, 32)
+    before = mul(x, y)
+    flipped = tuple(
+        tuple(-s if (i, j) == (2, 1) else s for j, s in enumerate(row))
+        for i, row in enumerate(octonion.FANO_SIGN)
+    )
+    monkeypatch.setattr(octonion, "FANO_SIGN", flipped)
+    patched = mul(x, y)
+    assert patched == ref_mul(x, y) != before
+    monkeypatch.undo()
+    again = mul(x, y)
+    assert again == before and again.cleared == before.cleared
+
+
+def test_generated_product_sums_every_term():
+    # Every coordinate sums all its products, zeros included, so 0 * inf
+    # makes each one NaN.  The CLI rejects non-finite input.
+    got = octonion.mul_numerators([math.inf] + [0.0] * 7, [0.0] * 8)
+    assert all(math.isnan(c) for c in got)
+
+
 # --- float inputs ------------------------------------------------------------
 
 
@@ -278,6 +317,41 @@ def test_float_kernels_keep_signed_zeros():
     m = plane_rotation(p, CirclePoint(0.6, -0.8), FLOAT)
     _assert_same_bits(m, ref_plane_rotation(p, CirclePoint(0.6, -0.8)))
     assert any(math.copysign(1, x) < 0 for x in _entries(m))
+
+
+def test_generated_product_is_bit_identical_on_floats():
+    rng = random.Random("product|float")
+    zeros = Octonion((0.0, -0.0) * 4)
+    for _ in range(200):
+        x, y = _float_octonion(rng), _float_octonion(rng)
+        for a, b in ((x, y), (y, x), (x, zeros), (zeros, y), (zeros, zeros)):
+            _assert_same_bits(mul(a, b), ref_mul(a, b))
+
+
+@pytest.mark.parametrize("bits", [8, 64, 200])
+def test_float_convert_of_scaled_values_rounds_like_the_fraction(bits):
+    rng = random.Random(f"convert|{bits}")
+    x, y = _exact_octonion(rng, bits), _exact_octonion(rng, bits)
+    a, b = _exact_matrix(rng, bits), _exact_matrix(rng, bits)
+    for value in (mul(x, y), compose(a, b)):
+        nums, scale = value.cleared
+        got = FLOAT.convert(value)
+        assert value._field not in vars(value)
+        assert [float.hex(e) for e in _entries(got)] == [float.hex(float(F(n, scale))) for n in nums]
+    plane = OrientedPlane(mul(x, y), mul(y, x))
+    got = FLOAT.convert(plane)
+    assert all(vec._field not in vars(vec) for vec in (plane.u, plane.v))
+    want = plane.map_scalars(float)
+    for vec, ref in ((got.u, want.u), (got.v, want.v)):
+        _assert_same_bits(vec, ref)
+
+
+def test_float_convert_of_a_huge_entry_overflows():
+    huge = Octonion.scaled([1 << 1100] + [0] * 7, 3)
+    for value in (huge, OrientedPlane(huge, huge), Octonion((F(1 << 1100, 3),) + (0,) * 7)):
+        with pytest.raises(OverflowError):
+            FLOAT.convert(value)
+    assert huge._field not in vars(huge)
 
 
 # --- cleared and right_divide ------------------------------------------------

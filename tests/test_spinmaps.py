@@ -249,6 +249,19 @@ def test_complex_structure_is_antisymmetric_and_squares_to_minus_one():
         assert j.cleared == reduce(compose, f7_factors(frame, CIRCLE_QUARTER)).cleared
 
 
+def test_complex_structure_equals_the_full_sum_of_plane_terms():
+    for frame in _exact_frames():
+        full = [[0] * 8 for _ in range(8)]
+        for q in frame.planes():
+            u, v, n = q.u.coords, q.v.coords, norm_sq(q.u)
+            for i in range(8):
+                for j in range(8):
+                    full[i][j] += (v[i] * u[j] - u[i] * v[j]) / n
+        want = Matrix8.from_rows(full)
+        assert frame.complex_structure == want
+        assert frame.complex_structure.cleared == want.cleared
+
+
 def test_c_identity_plus_s_complex_structure_is_the_chain():
     frames = list(_exact_frames())
     assert norm_sq(frames[1].elements[4]) != 1

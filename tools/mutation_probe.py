@@ -23,12 +23,14 @@ A survivor is a test that the report at this seed does not depend on.  When
 the probe was added, 171 of 321 mutants survived and 2 timed out, in five
 expected groups:
 - pure shortcuts, which skip work whose result is the same:
-  ``mul_numerators``' zero skips, ``Cleared.scaled``'s ``g != 1``,
-  ``project_out``'s zero-dot skip and int-scale test, ``determinant``'s int
-  scale, ``_bareiss``' ``piv != k``, the fast paths of ``cleared_eq``,
-  either operand of ``cleared``'s float test, and ``_rotation_product``'s
-  int-scale sum, which equals the chain of products exactly, and the
-  commuting square's reuse within one run;
+  ``mul_numerators``' test of the table identities (a run rebinds no table,
+  and generating the product again gives the same one),
+  ``Cleared.scaled``'s ``g != 1``, ``FloatBackend.convert``'s division of
+  unbuilt numerators, ``project_out``'s zero-dot skip and int-scale test,
+  ``determinant``'s int scale, ``_bareiss``' ``piv != k``, the fast paths of
+  ``cleared_eq``, either operand of ``cleared``'s float test, and
+  ``_rotation_product``'s int-scale sum, which equals the chain of products
+  exactly, and the commuting square's reuse within one run;
 - checks forced to their passing side: the unmutated run passes every claim,
   so a verdict forced to pass, or an error forced not to raise (the plane,
   frame, singular-system and zero-division guards), leaves it unchanged;
@@ -45,6 +47,11 @@ expected groups:
   (``project_double_cover`` builds g(e0) = e0).
 A new survivor outside these groups marks a condition that no report can
 decide; it should be given an input that reaches it, or be removed.
+
+The body of the octonion product is code that ``mul_numerators`` generates
+from ``FANO_SIGN`` / ``FANO_INDEX`` at run time, so it has no branch to
+mutate here: only edits of the tables, as in the table-flip defects of the
+tests, reach it.
 
 Only the standard library is used.  The probe is opt-in: pytest does not
 collect it.
