@@ -4,12 +4,13 @@ The top-homology effect of the rotation-product map is not computable at
 desk scale; what is computable is (a) the winding degree of the circle
 maps feeding the construction and (b) the pointwise commutation of the
 square relating the Spin(7)-valued map, the double-cover projection, and
-the plain SO(7) rotation product at doubled angles.  Winding degrees are
-counted by one algorithm on both backends: signed branch-cut crossings of
-the image of a fixed set of exact circle samples.  The ledger combines the
-computed numbers with two multipliers imported from the literature,
-keeping "computed" and "cited" provenance explicit per field, and reports
-the resulting magnitude with the overall sign left undetermined.
+the plain SO(7) rotation product at doubled angles.  The circle maps are
+polynomial in (c, s), so their degrees are counted exactly whatever the
+backend of the run: signed branch-cut crossings of the image of a fixed set
+of int circle samples, with no tolerance.  The ledger combines the computed
+numbers with two multipliers imported from the literature, keeping
+"computed" and "cited" provenance explicit per field, and reports the
+resulting magnitude with the overall sign left undetermined.
 """
 
 from __future__ import annotations
@@ -56,38 +57,23 @@ H_MULTIPLIER_CITATION = (
 
 
 @functools.lru_cache(maxsize=8)
-def _exact_circle_samples(n: int) -> Tuple[CirclePoint, ...]:
-    """n exact rational points on S^1 walking once counterclockwise.
+def circle_samples(n: int) -> Tuple[CirclePoint, ...]:
+    """n int points on S^1, scaled, walking once counterclockwise.
 
-    Points are stereographic-parameter approximations of equally spaced
+    The points are stereographic-parameter approximations of equally spaced
     angles in (-pi, pi); consecutive gaps are about 2*pi/n, and the single
-    wrap-around step crosses the branch cut at angle pi exactly once.
+    wrap-around step crosses the branch cut at angle pi exactly once.  Each
+    exact point (c, s) is kept as its ``cleared`` numerators d*(c, s) over one
+    positive denominator d.
     """
     if n < 8:
         raise ValueError("need at least 8 samples")
-    params = []
-    for k in range(n):
-        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / n
-        params.append(Fraction(math.tan(theta / 2.0)).limit_denominator(10 ** 6))
+    thetas = (-math.pi + 2.0 * math.pi * (k + 0.5) / n for k in range(n))
+    params = [Fraction(math.tan(theta / 2.0)).limit_denominator(10 ** 6) for theta in thetas]
     if any(a >= b for a, b in zip(params, params[1:])):
         raise ValueError("sample parameters failed to be strictly increasing")
-    return tuple(circle_from_parameter(u) for u in params)
-
-
-@functools.lru_cache(maxsize=16)
-def circle_samples(n: int, backend: Backend = EXACT) -> Tuple[CirclePoint, ...]:
-    """The n circle samples as the points that ``winding_degree`` maps.
-
-    Each exact sample (c, s) becomes its ``cleared`` numerators (C, S) over
-    one positive denominator d: on the exact backend the int point d*(c, s),
-    on floats the normalized point itself.  The points depend only on
-    (n, backend), so each pair is built once and shared.
-    """
-    points = []
-    for p in _exact_circle_samples(n):
-        (c, s), _ = cleared([backend.from_fraction(p.c), backend.from_fraction(p.s)])
-        points.append(CirclePoint(c, s))
-    return tuple(points)
+    points = map(circle_from_parameter, params)
+    return tuple(CirclePoint(*cleared([p.c, p.s])[0]) for p in points)
 
 
 def _is_upper(p: CirclePoint) -> bool:
@@ -95,21 +81,19 @@ def _is_upper(p: CirclePoint) -> bool:
     return p.s > 0 or (p.s == 0 and p.c < 0)
 
 
-def _cut_crossing(p: CirclePoint, q: CirclePoint, backend: Backend) -> int:
+def _cut_crossing(p: CirclePoint, q: CirclePoint) -> int:
     """Signed crossing of the negative real axis by the shorter arc p -> q.
 
     The shorter arc crosses the cut iff the chord does.  The chord meets
     s = 0 at x with x * (p.s - q.s) = p.s * q.c - p.c * q.s, so the sign of
     x is read without a division.  Only signs are read, so p and q may be
     points of the circle scaled by any positive factors.  Antipodes, where
-    the arc is ambiguous, raise first: as ``backend.eq`` sees them, or at
-    any scales as opposite points of one line through the origin.  After
-    that p.s != q.s whenever p and q lie on opposite sides.
+    the arc is ambiguous, raise first: at any scales they are opposite points
+    of one line through the origin.  After that p.s != q.s whenever p and q
+    lie on opposite sides.
     """
     cross = p.s * q.c - p.c * q.s
-    if (backend.eq(p.c, -q.c) and backend.eq(p.s, -q.s)) or (
-        cross == 0 and p.c * q.c + p.s * q.s < 0
-    ):
+    if cross == 0 and p.c * q.c + p.s * q.s < 0:
         raise AmbiguousArcError("consecutive image points are antipodal")
     up_p = _is_upper(p)
     if up_p == _is_upper(q) or cross * (p.s - q.s) >= 0:
@@ -117,25 +101,20 @@ def _cut_crossing(p: CirclePoint, q: CirclePoint, backend: Backend) -> int:
     return 1 if up_p else -1
 
 
-def winding_degree(
-    f: Callable[[CirclePoint], CirclePoint],
-    samples: int = 256,
-    backend: Backend = EXACT,
-) -> int:
+def winding_degree(f: Callable[[CirclePoint], CirclePoint], samples: int = 256) -> int:
     """Net number of turns of the circle self-map f.
 
-    f is applied to the points of ``circle_samples(samples, backend)``; the
-    degree is the signed count of branch-cut crossings of the image loop, on
-    either backend.  On the exact backend those points are int multiples of
-    the samples, so f must be homogeneous: f(l*p) a positive multiple of
-    f(p) for every l > 0, as polynomial maps of one degree in (c, s) are.
-    The caller must supply enough samples that consecutive image points
-    subtend less than pi; antipodes raise AmbiguousArcError.
+    f is applied to the int points of ``circle_samples(samples)``; the degree
+    is the signed count of branch-cut crossings of the image loop.  Those
+    points are positive multiples of points of the circle, so f must be
+    homogeneous: f(l*p) a positive multiple of f(p) for every l > 0, as
+    polynomial maps of one degree in (c, s) are.  Such a map has int images,
+    and the count is exact.  The caller must supply enough samples that
+    consecutive image points subtend less than pi; antipodes raise
+    AmbiguousArcError.
     """
-    imgs = [f(p) for p in circle_samples(samples, backend)]
-    return sum(
-        _cut_crossing(imgs[k], imgs[(k + 1) % samples], backend) for k in range(samples)
-    )
+    imgs = [f(p) for p in circle_samples(samples)]
+    return sum(_cut_crossing(imgs[k], imgs[(k + 1) % samples]) for k in range(samples))
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ Scalar = Union[int, Fraction, float]
 class ExactBackend:
     """Arbitrary-precision rationals; equality and zero tests are exact."""
 
-    def from_fraction(self, q: Fraction) -> Fraction:
-        return q
-
     def convert(self, x):
         """An exact value on this backend: the value itself."""
         return x
@@ -62,16 +59,13 @@ class ExactBackend:
         return f"{q.numerator}/{q.denominator}"
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        text = text.strip()
+        return _fraction(text, f"number {text}")
 
 
 @dataclass(frozen=True)
 class FloatBackend:
-    """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|).
-
-    Backends of equal epsilon are equal and hash alike, so caches keyed by
-    the backend are shared between runs.
-    """
+    """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|)."""
 
     epsilon: float = 1e-9
 
@@ -81,18 +75,19 @@ class FloatBackend:
             raise ValueError("epsilon must be positive and finite")
         object.__setattr__(self, "epsilon", epsilon)
 
-    def from_fraction(self, q: Fraction) -> float:
-        return float(q)
-
     def convert(self, x):
-        """An exact value (octonion, matrix, plane or circle point) in floats;
-        unbuilt ``Cleared.scaled`` entries as n / scale, Fraction(n, scale) rounded."""
-        if not isinstance(x, (Cleared, CirclePoint)):  # an OrientedPlane
-            return type(x)(self.convert(x.u), self.convert(x.v))
-        if isinstance(x, Cleared) and x._field not in vars(x):
+        """An exact value (octonion, matrix, plane or circle point) in floats.
+
+        A ``Cleared`` value converts as n / scale on its cleared numerators,
+        built or not: int division rounds correctly, so each entry is
+        ``float(Fraction(n, scale))`` without the Fraction.
+        """
+        if isinstance(x, Cleared):
             nums, scale = x.cleared
             return type(x)(x._shape([n / scale for n in nums]))
-        return x.map_scalars(self.from_fraction)
+        if isinstance(x, CirclePoint):
+            return x.map_scalars(float)
+        return type(x)(self.convert(x.u), self.convert(x.v))  # an OrientedPlane
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         """Within the tolerance; never when |a - b| is infinite or NaN, as an
@@ -113,13 +108,21 @@ class FloatBackend:
     def parse(self, text: str) -> float:
         text = text.strip()
         if "/" in text:
-            return float(Fraction(text))
+            return float(_fraction(text, f"number {text}"))
         return float(text)
 
 
 Backend = Union[ExactBackend, FloatBackend]
 
 EXACT = ExactBackend()
+
+
+def _fraction(text: str, name: str) -> Fraction:
+    """``Fraction(text)``; a zero denominator raises a ValueError naming ``name``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} has a zero denominator") from None
 
 
 def cleared(values):
@@ -279,10 +282,7 @@ def parse_circle_point(text: str, backend: Backend = EXACT) -> CirclePoint:
     """Parse "c,s" or a stereographic parameter "u=p/q" into a CirclePoint."""
     text = text.strip()
     if text.startswith("u="):
-        try:
-            u = Fraction(text[2:])
-        except ZeroDivisionError:
-            raise ValueError(f"angle parameter {text} has a zero denominator") from None
+        u = _fraction(text[2:], f"angle parameter {text}")
         return backend.convert(circle_from_parameter(u))
     parts = text.split(",")
     if len(parts) != 2:

@@ -595,14 +595,12 @@ def _angle_doubling(b, u, u2, k):
 
 
 def _circle_degrees(b):
-    def wind(f, samples=256):
-        return degree_mod.winding_degree(f, samples, b)
-
+    wind = degree_mod.winding_degree
     doubling = wind(double_angle)
     degrees = (
         wind(lambda p: p) == 1,
         doubling == 2,
-        wind(lambda p: CirclePoint(p.c * 0 + 1, p.s * 0)) == 0,
+        wind(lambda p: CirclePoint(1, 0)) == 0,
         wind(lambda p: double_angle(double_angle(p))) == 4,
         doubling == wind(double_angle, 1024),
     )
@@ -612,7 +610,7 @@ def _circle_degrees(b):
 def _degree_ledger(b, seed, trials, squares):
     # The ledger winds the doubling map itself, so an error in the square
     # check stays in this entry and leaves the circle claims alone.
-    doubling = degree_mod.winding_degree(double_angle, 256, b)
+    doubling = degree_mod.winding_degree(double_angle)
     square = _square(b, seed, max(1, min(trials, 10)), squares)
     try:
         ledger = degree_mod.degree_ledger(square, doubling, doubling)

@@ -235,6 +235,19 @@ def test_eval_names_a_zero_denominator_angle_parameter(backend, capsys):
     assert "angle parameter u=1/0 has a zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--plane", "e1,e2", "--angle", "1/0,0"],
+     ["--plane", "1/0,0,0,0,0,0,0,0;e2", "--angle", "1,0"],
+     ["--plane", "e1,e2", "--angle", "1,0", "--w", "0,0,0,0,1/0,0,0,0"]],
+    ids=["angle", "plane", "w"],
+)
+def test_eval_names_a_zero_denominator_number(backend, flags, capsys):
+    assert run(["eval", "f7"] + flags + ["--backend", backend]) == 2
+    assert "error: number 1/0 has a zero denominator" in capsys.readouterr().err
+
+
 def test_eval_rejects_bad_plane_geometry(capsys):
     # not orthogonal
     assert run(["eval", "f7", "--plane", "1,1,0,0,0,0,0,0;0,1,0,0,0,0,0,0",

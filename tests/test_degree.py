@@ -9,7 +9,6 @@ from octospin.degree import (
     LedgerError,
     SquareReport,
     _cut_crossing,
-    _exact_circle_samples,
     circle_samples,
     degree_ledger,
     verify_square,
@@ -21,8 +20,6 @@ from octospin.scalar import (
     CIRCLE_HALF,
     CIRCLE_QUARTER,
     CirclePoint,
-    EXACT,
-    FloatBackend,
     double_angle,
     on_circle,
 )
@@ -32,37 +29,34 @@ E = [Octonion.basis(i) for i in range(8)]
 ONE = CirclePoint(F(1), F(0))
 
 
+def _normalized(p):
+    """The point of the circle that the int sample p is a positive multiple of."""
+    d = math.isqrt(p.c * p.c + p.s * p.s)
+    assert d > 0 and d * d == p.c * p.c + p.s * p.s
+    return CirclePoint(F(p.c, d), F(p.s, d))
+
+
 def test_circle_samples_exact_and_ordered():
     pts = circle_samples(64)
     assert len(pts) == 64
-    for p, exact in zip(pts, _exact_circle_samples(64)):
+    for k, p in enumerate(pts):
         # Int points over one positive denominator d: C^2 + S^2 = d^2.
         assert type(p.c) is int and type(p.s) is int
-        d = math.isqrt(p.c * p.c + p.s * p.s)
-        assert d > 0 and d * d == p.c * p.c + p.s * p.s
-        assert on_circle(CirclePoint(F(p.c, d), F(p.s, d)))
-        assert CirclePoint(F(p.c, d), F(p.s, d)) == exact
+        exact = _normalized(p)
+        assert on_circle(exact)
+        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / 64
+        assert abs(math.atan2(exact.s, exact.c) - theta) < 1e-5
     for p, q in zip(pts, pts[1:] + pts[:1]):
         assert p.c * q.s - p.s * q.c > 0  # each step turns counterclockwise
     with pytest.raises(ValueError):
         circle_samples(4)
-    with pytest.raises(ValueError):
-        circle_samples(4, FloatBackend())
-
-
-@pytest.mark.parametrize("epsilon", [1e-15, 1e-9, 0.5])
-def test_float_samples_are_the_normalized_exact_points(epsilon):
-    for n in (8, 256, 1024):
-        for p, q in zip(circle_samples(n, FloatBackend(epsilon)), _exact_circle_samples(n)):
-            assert type(p.c) is float and type(p.s) is float
-            assert (p.c, p.s) == (float(q.c), float(q.s))
 
 
 def _reference_degree(f, samples):
     """The winding degree as counted before integer sample points: the map on
     the normalized Fraction samples, and the chord's crossing point divided
     out."""
-    imgs = [f(p) for p in _exact_circle_samples(samples)]
+    imgs = [f(_normalized(p)) for p in circle_samples(samples)]
     degree = 0
     for p, q in zip(imgs, imgs[1:] + imgs[:1]):
         if p.c == -q.c and p.s == -q.s:
@@ -128,52 +122,36 @@ def test_winding_minimum_samples():
     assert winding_degree(lambda p: p, 8) == 1
 
 
-def test_winding_float_backend():
-    fb = FloatBackend()
-    assert winding_degree(double_angle, 256, fb) == 2
-    assert winding_degree(lambda p: p.inverse(), 256, fb) == -1
-    one = ONE.map_scalars(float)
-    assert winding_degree(lambda p: one, 256, fb) == 0
-    assert winding_degree(lambda p: double_angle(double_angle(p)), 256, fb) == 4
-
-
-@pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
-def test_winding_antipodal_error(backend):
-    lookup = {}
-    for k, p in enumerate(circle_samples(8, backend)):
-        target = ONE if k % 2 == 0 else CIRCLE_HALF
-        lookup[(p.c, p.s)] = target.map_scalars(backend.from_fraction)
+def test_winding_antipodal_error():
+    lookup = {p: ONE if k % 2 == 0 else CIRCLE_HALF for k, p in enumerate(circle_samples(8))}
 
     with pytest.raises(AmbiguousArcError):
-        winding_degree(lambda p: lookup[(p.c, p.s)], 8, backend)
+        winding_degree(lambda p: lookup[p], 8)
 
 
 def test_exact_antipodes_of_different_scales_raise():
-    # (3, 0) then (-5, 0): opposite points that backend.eq does not match.
+    # (3, 0) then (-5, 0): opposite points of one line, at different scales.
     lookup = dict(zip(circle_samples(8), [CirclePoint(3, 0), CirclePoint(-5, 0)] * 4))
 
     with pytest.raises(AmbiguousArcError):
         winding_degree(lambda p: lookup[p], 8)
 
 
-@pytest.mark.parametrize("backend", [EXACT, FloatBackend()], ids=["exact", "float"])
-def test_winding_conjugation_and_a_map_crossing_both_ways(backend):
+def test_winding_conjugation_and_a_map_crossing_both_ways():
     # (c, s) -> (c, -s) crosses the cut clockwise once.
-    assert winding_degree(lambda p: CirclePoint(p.c, -p.s), 256, backend) == -1
+    assert winding_degree(lambda p: CirclePoint(p.c, -p.s), 256) == -1
     # The image stays left of the origin and crosses the cut twice in each
     # direction; both maps are homogeneous, as integer points require.
     left = lambda p: CirclePoint(-(p.c * p.c + p.s * p.s), p.c * p.s)
-    assert winding_degree(left, 256, backend) == 0
+    assert winding_degree(left, 256) == 0
 
 
 def test_cut_crossing_sees_antipodes_at_different_integer_scales():
     for p, q in (((2, 0), (-3, 0)), ((0, 5), (0, -7)), ((3, 4), (-6, -8))):
-        p, q = CirclePoint(*p), CirclePoint(*q)
-        assert not (EXACT.eq(p.c, -q.c) and EXACT.eq(p.s, -q.s))
         with pytest.raises(AmbiguousArcError):
-            _cut_crossing(p, q, EXACT)
+            _cut_crossing(CirclePoint(*p), CirclePoint(*q))
     # the same direction at another scale is no crossing
-    assert _cut_crossing(CirclePoint(2, 0), CirclePoint(3, 0), EXACT) == 0
+    assert _cut_crossing(CirclePoint(2, 0), CirclePoint(3, 0)) == 0
 
 
 def test_verify_square_passes():

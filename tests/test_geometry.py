@@ -342,7 +342,7 @@ def test_choose_w_rejects_inadmissible_planes(backend):
         ((E[1], E[1]), "plane spanning pair must be orthogonal"),
     ]
     for (u, v), message in cases:
-        p = OrientedPlane(u, v).map_scalars(backend.from_fraction)
+        p = backend.convert(OrientedPlane(u, v))
         with pytest.raises(PlaneError, match=message):
             choose_w(p, backend)
 

@@ -346,6 +346,26 @@ def test_float_convert_of_scaled_values_rounds_like_the_fraction(bits):
         _assert_same_bits(vec, ref)
 
 
+def _assert_converts_like_float(got, value):
+    """Each entry of got is the float of the exact entry of value, bit for bit."""
+    scalars = lambda x: [x.c, x.s] if isinstance(x, CirclePoint) else _entries(x)
+    assert type(got) is type(value) and all(type(e) is float for e in scalars(got))
+    assert [float.hex(e) for e in scalars(got)] == [float.hex(float(q)) for q in scalars(value)]
+
+
+@pytest.mark.parametrize("bits", [8, 64, 200])
+def test_float_convert_of_built_values_rounds_like_float(bits):
+    rng = random.Random(f"convert-built|{bits}")
+    x, y = _exact_octonion(rng, bits), _exact_octonion(rng, bits)
+    basis = [Octonion.basis(i) for i in range(8)]
+    t = circle_from_parameter(F(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits)))
+    for value in [x, *basis, -Matrix8.identity(), _exact_matrix(rng, bits), t]:
+        _assert_converts_like_float(FLOAT.convert(value), value)
+    got = FLOAT.convert(OrientedPlane(x, y))
+    _assert_converts_like_float(got.u, x)
+    _assert_converts_like_float(got.v, y)
+
+
 def test_float_convert_of_a_huge_entry_overflows():
     huge = Octonion.scaled([1 << 1100] + [0] * 7, 3)
     for value in (huge, OrientedPlane(huge, huge), Octonion((F(1 << 1100, 3),) + (0,) * 7)):

@@ -400,7 +400,7 @@ def test_verify_spin7_reports_invariant():
 
 def _assert_first_column_non_member(backend, first):
     m = plane_rotation(P12, T35)
-    gt = Matrix8(tuple((first,) + row[1:] for row in m.rows)).map_scalars(backend.from_fraction)
+    gt = backend.convert(Matrix8(tuple((first,) + row[1:] for row in m.rows)))
     report = verify_spin7(gt, backend)
     assert not report.is_member and not report.g_in_so7
     assert report.relation_failures == ()
@@ -537,7 +537,7 @@ FLOAT = FloatBackend(1e-9)
 
 def _on(backend, *values):
     """The values with their scalars in the backend (planes, circle points, matrices)."""
-    return [v.map_scalars(backend.from_fraction) for v in values]
+    return [backend.convert(v) for v in values]
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])

@@ -347,6 +347,18 @@ def test_exact_and_float_verdicts_agree(seed):
     assert _verdicts("float", seed) == _verdicts("exact", seed)
 
 
+@pytest.mark.parametrize("epsilon", [1e-9, 2.0])
+def test_exact_and_float_circle_degrees_agree(epsilon):
+    def circle_records(backend):
+        config = RunConfig(backend=backend, epsilon=epsilon, seed=11, trials=1)
+        _, report = run_verify_suite(config, ["degree-ledger"])
+        return [c for c in report["results"]["degree-ledger"] if c["claim"] != "degree.ledger"]
+
+    exact = circle_records("exact")
+    assert len(exact) == 5 and all(c["passed"] for c in exact)
+    assert circle_records("float") == exact
+
+
 @pytest.fixture
 def square_calls(monkeypatch):
     """The trials of every ``degree.verify_square`` call."""

@@ -18,6 +18,8 @@ The matrix:
 - ``table`` on the plane e1,e2, exact and float, with the default w and five
   others (admissible or not);
 - ``table`` and ``eval f7`` on four inadmissible planes;
+- ``eval f7`` with a zero denominator in the angle, the plane, ``--w`` or the
+  angle parameter ``u=``, exact and float;
 - ``gen-frame`` at four settings.
 
 Only the standard library is used.
@@ -45,6 +47,10 @@ TABLE_W = {"default": [], "e4": ["--w", "e4"], "e3": ["--w", "e3"], "e0": ["--w"
            "zero": ["--w", "0,0,0,0,0,0,0,0"], "e0+e4": ["--w", "1,0,0,0,1,0,0,0"]}
 INADMISSIBLE_PLANES = ("e1,e1", "0,0,0,0,0,0,0,0;0,0,0,0,0,0,0,0",
                        "0,1,0,0,0,0,0,0;0,0,2,0,0,0,0,0", "e0,e1")
+ZERO_DENOMINATORS = {"angle": ["--plane", "e1,e2", "--angle", "1/0,0"],
+                     "plane": ["--plane", "1/0,0,0,0,0,0,0,0;e2", "--angle", "1,0"],
+                     "w": ["--plane", "e1,e2", "--angle", "1,0", "--w", "0,0,0,0,1/0,0,0,0"],
+                     "u": ["--plane", "e1,e2", "--angle", "u=1/0"]}
 GEN_FRAME = ([], ["--seed", "7", "--index", "3"], ["--subspace", "R5"],
              ["--seed", "11", "--subspace", "R5", "--index", "2"])
 
@@ -73,6 +79,10 @@ def matrix() -> list:
     for plane in INADMISSIBLE_PLANES:
         runs.append([f"table {plane}", ["table", "--plane", plane]])
         runs.append([f"eval f7 {plane}", ["eval", "f7", "--plane", plane, "--angle", "u=1/2"]])
+    for backend in ("exact", "float"):
+        for name, flags in ZERO_DENOMINATORS.items():
+            runs.append([f"eval f7 zero denominator {name} {backend}",
+                         ["eval", "f7"] + flags + ["--backend", backend]])
     runs += [[f"gen-frame {' '.join(flags) or 'default'}", ["gen-frame"] + flags]
              for flags in GEN_FRAME]
     return runs
