@@ -6,7 +6,8 @@ Commands:
     table      check a plane's frame against FRAME_TABLE and print the table
     gen-frame  print an exact random orthonormal pair
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(an unwritable --out included).
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as err:
+    except (OSError, ValueError, ZeroDivisionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

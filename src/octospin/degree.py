@@ -6,19 +6,17 @@ maps feeding the construction and (b) the pointwise commutation of the
 square relating the Spin(7)-valued map, the double-cover projection, and
 the plain SO(7) rotation product at doubled angles.  The circle maps are
 polynomial in (c, s), so their degrees are counted exactly whatever the
-backend of the run: signed branch-cut crossings of the image of a fixed set
-of int circle samples, with no tolerance.  The ledger combines the computed
-numbers with two multipliers imported from the literature, keeping
-"computed" and "cited" provenance explicit per field, and reports the
-resulting magnitude with the overall sign left undetermined.
+backend of the run: signed branch-cut crossings of the image of the int
+points on the boundary of a square, with no tolerance.  The ledger combines
+the computed numbers with two multipliers imported from the literature,
+keeping "computed" and "cited" provenance explicit per field, and reports
+the resulting magnitude with the overall sign left undetermined.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, ClassVar, Tuple
 
 from .geometry import mat_eq, max_abs_diff, random_orthonormal_pair
@@ -28,7 +26,6 @@ from .scalar import (
     EXACT,
     Scalar,
     circle_from_parameter,
-    cleared,
     derived_rng,
     double_angle,
     random_rational,
@@ -58,22 +55,18 @@ H_MULTIPLIER_CITATION = (
 
 @functools.lru_cache(maxsize=8)
 def circle_samples(n: int) -> Tuple[CirclePoint, ...]:
-    """n int points on S^1, scaled, walking once counterclockwise.
+    """The n int points of the boundary of the square [-m, m]^2, m = n/8, in
+    counterclockwise order from (m, -m).
 
-    The points are stereographic-parameter approximations of equally spaced
-    angles in (-pi, pi); consecutive gaps are about 2*pi/n, and the single
-    wrap-around step crosses the branch cut at angle pi exactly once.  Each
-    exact point (c, s) is kept as its ``cleared`` numerators d*(c, s) over one
-    positive denominator d.
+    Each stands for the point of S^1 on its ray.  Consecutive rays are at most
+    atan(1/m) apart, so a map of degree d aliases only from about d = pi*m on.
     """
-    if n < 8:
-        raise ValueError("need at least 8 samples")
-    thetas = (-math.pi + 2.0 * math.pi * (k + 0.5) / n for k in range(n))
-    params = [Fraction(math.tan(theta / 2.0)).limit_denominator(10 ** 6) for theta in thetas]
-    if any(a >= b for a, b in zip(params, params[1:])):
-        raise ValueError("sample parameters failed to be strictly increasing")
-    points = map(circle_from_parameter, params)
-    return tuple(CirclePoint(*cleared([p.c, p.s])[0]) for p in points)
+    if n <= 0 or n % 8:
+        raise ValueError("need a positive multiple of 8 samples")
+    m = n // 8
+    ks = range(-m, m)
+    return tuple([CirclePoint(m, k) for k in ks] + [CirclePoint(-k, m) for k in ks]
+                 + [CirclePoint(-m, -k) for k in ks] + [CirclePoint(k, -m) for k in ks])
 
 
 def _is_upper(p: CirclePoint) -> bool:
@@ -104,14 +97,15 @@ def _cut_crossing(p: CirclePoint, q: CirclePoint) -> int:
 def winding_degree(f: Callable[[CirclePoint], CirclePoint], samples: int = 256) -> int:
     """Net number of turns of the circle self-map f.
 
-    f is applied to the int points of ``circle_samples(samples)``; the degree
-    is the signed count of branch-cut crossings of the image loop.  Those
-    points are positive multiples of points of the circle, so f must be
+    f is applied to the int lattice points of ``circle_samples(samples)``; the
+    degree is the signed count of branch-cut crossings of the image loop.
+    Those points are positive multiples of points of the circle, so f must be
     homogeneous: f(l*p) a positive multiple of f(p) for every l > 0, as
     polynomial maps of one degree in (c, s) are.  Such a map has int images,
     and the count is exact.  The caller must supply enough samples that
-    consecutive image points subtend less than pi; antipodes raise
-    AmbiguousArcError.
+    consecutive image points subtend less than pi: more than about 8*d/pi
+    for degree d (at 256 the count is wrong from degree 101 on); antipodes
+    raise AmbiguousArcError.
     """
     imgs = [f(p) for p in circle_samples(samples)]
     return sum(_cut_crossing(imgs[k], imgs[(k + 1) % samples]) for k in range(samples))

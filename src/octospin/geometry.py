@@ -254,23 +254,23 @@ def cayley_columns(a: Matrix8, cols: Sequence[int]) -> Tuple[Vector8, ...]:
 
     (I - A) and (I + A)^-1 commute, so X is the transform in either factor
     order.  With A = N/d on its cleared rows, (d*I + N) X = (d*I - N) is
-    solved on ints on the block where N has nonzero rows; outside it a column
-    is the identity column.  Each column is ``Octonion.scaled`` over the
-    solve's pivot, det(d*I + N) > 0 on the block.
+    solved on ints on the block where N has nonzero rows; outside it the rows
+    are the identity's.  A column j outside the block solves to zero on it,
+    as its right-hand side -N[i][j] = N[j][i] is zero there.  Each column is
+    ``Octonion.scaled`` over the solve's pivot, det(d*I + N) > 0 on the block.
     """
     nums, d = a.cleared
     n = [nums[8 * i:8 * i + 8] for i in range(8)]
     if any(n[i][j] != -n[j][i] for i in range(8) for j in range(8)):
         raise ValueError("matrix must be antisymmetric")
     block = [i for i in range(8) if any(n[i])]
-    inside = [j for j in cols if j in block]
     rows, pivot = solve_linear(
         [[d * (i == j) + n[i][j] for j in block] for i in block],
-        [[d * (i == j) - n[i][j] for j in inside] for i in block],
-    ) if inside else ([], 1)
+        [[d * (i == j) - n[i][j] for j in cols] for i in block],
+    )
     solved = dict(zip(block, rows))
-    return tuple(Octonion.scaled([solved[i][inside.index(j)] if i in solved and j in block
-                                  else pivot * (i == j) for i in range(8)], pivot) for j in cols)
+    return tuple(Octonion.scaled([solved[i][k] if i in solved else pivot * (i == j)
+                                  for i in range(8)], pivot) for k, j in enumerate(cols))
 
 
 def cayley_orthogonal(a: Matrix8) -> Matrix8:

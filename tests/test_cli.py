@@ -68,6 +68,20 @@ def test_verify_rejects_infinite_epsilon(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suites", "octonion-identities", "--trials", "1"],
+    ["eval", "f5", "--plane", "e1,e2", "--angle", "0,1"],
+    ["table", "--plane", "e1,e2"],
+    ["gen-frame"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, command, target, capsys):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
+    assert run(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_eval_rejects_nan_epsilon(capsys):
     code = run([
         "eval", "h70", "--plane", "e1,e2", "--angle", "u=1", "--plane2", "e3,e4",

@@ -21,7 +21,6 @@ from octospin.scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     double_angle,
-    on_circle,
 )
 from octospin.spinmaps import f7xf5, h70, project_double_cover
 
@@ -29,43 +28,39 @@ E = [Octonion.basis(i) for i in range(8)]
 ONE = CirclePoint(F(1), F(0))
 
 
-def _normalized(p):
-    """The point of the circle that the int sample p is a positive multiple of."""
-    d = math.isqrt(p.c * p.c + p.s * p.s)
-    assert d > 0 and d * d == p.c * p.c + p.s * p.s
-    return CirclePoint(F(p.c, d), F(p.s, d))
-
-
-def test_circle_samples_exact_and_ordered():
-    pts = circle_samples(64)
-    assert len(pts) == 64
-    for k, p in enumerate(pts):
-        # Int points over one positive denominator d: C^2 + S^2 = d^2.
-        assert type(p.c) is int and type(p.s) is int
-        exact = _normalized(p)
-        assert on_circle(exact)
-        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / 64
-        assert abs(math.atan2(exact.s, exact.c) - theta) < 1e-5
-    for p, q in zip(pts, pts[1:] + pts[:1]):
-        assert p.c * q.s - p.s * q.c > 0  # each step turns counterclockwise
-    with pytest.raises(ValueError):
-        circle_samples(4)
+def test_circle_samples_are_int_points_turning_counterclockwise():
+    for n in (8, 64, 256):
+        pts = circle_samples(n)
+        assert len(pts) == n
+        assert all(type(p.c) is int and type(p.s) is int for p in pts)
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            assert p.c * q.s - p.s * q.c > 0  # each step turns counterclockwise
+        # ... and the steps add up to one turn
+        assert _reference_degree(lambda p: p, n) == 1
+    for n in (0, 4, 7, 12):
+        with pytest.raises(ValueError):
+            circle_samples(n)
 
 
 def _reference_degree(f, samples):
-    """The winding degree as counted before integer sample points: the map on
-    the normalized Fraction samples, and the chord's crossing point divided
-    out."""
-    imgs = [f(_normalized(p)) for p in circle_samples(samples)]
-    degree = 0
+    """The winding degree as the sum of the signed angles atan2(p x q, p . q)
+    between consecutive image points, in turns; exact antipodes raise."""
+    imgs = [f(p) for p in circle_samples(samples)]
+    total = 0.0
     for p, q in zip(imgs, imgs[1:] + imgs[:1]):
-        if p.c == -q.c and p.s == -q.s:
+        cross = p.c * q.s - p.s * q.c
+        dot = p.c * q.c + p.s * q.s
+        if cross == 0 and dot < 0:
             raise AmbiguousArcError("consecutive image points are antipodal")
-        up_p = p.s > 0 or (p.s == 0 and p.c < 0)
-        up_q = q.s > 0 or (q.s == 0 and q.c < 0)
-        if up_p != up_q and (p.s * q.c - p.c * q.s) / (p.s - q.s) < 0:
-            degree += 1 if up_p else -1
-    return degree
+        total += math.atan2(cross, dot)
+    return round(total / (2 * math.pi))
+
+
+def _outcome(count, f, samples):
+    try:
+        return count(f, samples)
+    except AmbiguousArcError:
+        return AmbiguousArcError
 
 
 def _power(k):
@@ -85,8 +80,15 @@ def _power(k):
      ("x2", _power(1)), ("x4", _power(2)), ("x8", _power(3))],
 )
 def test_integer_points_wind_as_fraction_samples(name, f, samples):
-    # At 8 samples x4 and x8 are undersampled; both paths must agree anyway.
-    assert winding_degree(f, samples) == _reference_degree(f, samples)
+    # At 8 samples (45 degree steps) x4 meets exact antipodes and x8 is
+    # undersampled; both counts must agree anyway.
+    assert _outcome(winding_degree, f, samples) == _outcome(_reference_degree, f, samples)
+
+
+def test_sixty_four_turns_wind_at_256_samples():
+    # The spacing margin: steps of at most atan(1/32) alias only from about
+    # degree 100 on.
+    assert winding_degree(_power(6), 256) == 64 == _reference_degree(_power(6), 256)
 
 
 def test_winding_identity():

@@ -20,8 +20,8 @@ records equal those of the unmutated copy.  The probe prints every survivor
 and a summary line, and exits 0; on all six modules it takes a few minutes.
 
 A survivor is a test that the report at this seed does not depend on.  At
-the last count, 172 of 327 mutants survived and 2 timed out, in 135 s on a
-shared 2-core host, in five expected groups:
+the last count, 170 of 321 mutants survived and 2 timed out, in 115 s on a
+shared 2-core host, in six expected groups:
 - pure shortcuts, which skip work whose result is the same:
   ``mul_numerators``' test of the table identities (a run rebinds no table,
   and generating the product again gives the same one),
@@ -34,8 +34,13 @@ shared 2-core host, in five expected groups:
   exactly, and the commuting square's reuse within one run;
 - checks forced to their passing side: the unmutated run passes every claim,
   so a verdict forced to pass, or an error forced not to raise (the plane,
-  frame, singular-system and zero-division guards, and the winding count's
-  antipode test, which no wound map reaches), leaves it unchanged;
+  frame, singular-system and zero-division guards, ``circle_samples``' test
+  of the sample count, and the winding count's antipode test, which no wound
+  map reaches), leaves it unchanged;
+- conventions that any consistent choice meets: ``_is_upper``'s tie-break
+  with either operand dropped moves the image points on the real axis (the
+  lattice samples include (-m, 0) and (m, 0)) to the other side, and a closed
+  loop crosses the cut the same net number of times either way;
 - what only a failure or another seed would show: a passing report prints
   few scalars, so ``_describe``'s formatting of failure records leaves it
   unchanged, and so does ``_run``'s ``backend.convert`` of the inputs
