@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -76,6 +77,18 @@ def _write_output(payload: str, path) -> None:
             fh.write(payload)
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError naming path that ``_write_output`` would, creating and
+    truncating nothing: append to an existing path, or look up its directory."""
+    try:
+        if path != "-" and os.path.exists(path):
+            open(path, "a").close()
+        else:
+            os.stat(os.path.join(os.path.dirname(path), "."))
+    except OSError as err:
+        raise type(err)(err.errno, err.strerror, path) from None
+
+
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("exact", "float"), default="exact")
     parser.add_argument("--epsilon", type=float, default=1e-9)
@@ -86,6 +99,7 @@ def _cmd_verify(args) -> int:
     config = RunConfig(
         backend=args.backend, epsilon=args.epsilon, seed=args.seed, trials=args.trials
     )
+    _check_writable(args.out)
     code, report = run_verify_suite(config, None if args.suites == "all" else names)
     _write_output(render_report(report), args.out)
     return code

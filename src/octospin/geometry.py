@@ -47,14 +47,14 @@ class OrientedPlane:
 def check_plane(p: OrientedPlane, backend: Backend = EXACT) -> Scalar:
     """The common squared norm N = |u|^2 of the spanning pair.
 
-    Raises PlaneError unless u ⟂ v and |u|^2 = |v|^2 != 0.
+    Raises PlaneError unless u ⟂ v and |u|^2 = |v|^2 != 0, for ``backend.eq``.
     """
     (nu, su), (nv, sv) = inner_cleared(p.u, p.u), inner_cleared(p.v, p.v)
-    if backend.is_zero_over(nu, su):
+    if backend.eq(nu, 0):
         raise PlaneError("plane spanning pair must be nonzero")
     if not cleared_eq([nu], su, [nv], sv, backend):
         raise PlaneError("plane spanning pair must have equal norms")
-    if not backend.is_zero_over(*inner_cleared(p.u, p.v)):
+    if not backend.eq(inner_cleared(p.u, p.v)[0], 0):
         raise PlaneError("plane spanning pair must be orthogonal")
     return quotient(nu, su)
 
@@ -193,7 +193,7 @@ def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
     """The residual ``max_abs_diff(M^T M, I)``, the determinant, and the verdict."""
     residual = max_abs_diff(compose(m.transpose(), m), Matrix8.identity())
     det = determinant(m)
-    ok = backend.is_zero(residual) and backend.eq(det, 1)
+    ok = backend.eq(residual, 0) and backend.eq(det, 1)
     return SOReport(residual, det, ok)
 
 
@@ -339,13 +339,13 @@ def choose_w(p: OrientedPlane, backend: Backend = EXACT) -> Vector8:
 
 def complement_vector(x: Vector8, y: Vector8, xy: Vector8, backend: Backend = EXACT) -> Vector8:
     """Gram-Schmidt on e1..e7 in order against {e0, x, y, xy}, for a product
-    xy already at hand; returns the first nonzero residual, unnormalized (the
-    complement has dimension four, so one of the seven candidates survives).
+    xy already at hand; returns the first residual nonzero for ``backend.eq``,
+    unnormalized (the complement has dimension four: one of the seven survives).
     """
     span = [Octonion.basis(0), x, y, xy]
     for i in range(1, 8):
         w = project_out(Octonion.basis(i), span)
-        if not backend.is_zero_over(*inner_cleared(w, w)):
+        if not backend.eq(inner_cleared(w, w)[0], 0):
             return w
     raise PlaneError("no vector orthogonal to span{e0, x, y, xy} found")
 

@@ -154,13 +154,13 @@ def norm_sq(a: Octonion) -> Scalar:
 def right_divide(a: Octonion, u: Octonion, backend: Backend = EXACT) -> Octonion:
     """The unique b with b*u = a, namely a*conj(u) / |u|^2.
 
-    Raises ZeroDivisionError when |u|^2 is zero for the backend (within its
-    tolerance on floats).  With |u|^2 cleared to nn/ns, the quotient is the
-    product of the numerators times ns, ``scaled`` over sa * sc * nn.
+    With |u|^2 cleared to nn/ns, raises ZeroDivisionError when
+    ``backend.eq(nn, 0)``; otherwise the quotient is the product of the
+    numerators times ns, ``scaled`` over sa * sc * nn.
     """
     (an, sa), (un, su) = a.cleared, u.cleared
     nn, ns = inner_cleared(u, u)
-    if backend.is_zero_over(nn, ns):
+    if backend.eq(nn, 0):
         raise ZeroDivisionError("division by the zero octonion")
     cn, sc = conj(u).cleared
     return Octonion.scaled([c * ns for c in mul_numerators(an, cn)], sa * sc * nn)

@@ -3,9 +3,9 @@
 Every quantity in this package is a scalar from one of two backends: exact
 arbitrary-precision rationals (``fractions.Fraction``), where equality is
 decidable and tested with ``==``, or 64-bit floats, where equality means
-agreement within a hybrid relative/absolute tolerance.  All algebra in the
-other modules is generic over the scalar type; a computation stays inside
-whichever backend its inputs came from.
+agreement within a hybrid relative/absolute tolerance below 1.  ``eq`` is the
+one comparison and ``eq(x, 0)`` the zero test; all algebra is generic over
+the scalar type and stays inside whichever backend its inputs came from.
 
 The cleared form of a list of scalars is ``cleared``: Python-int numerators
 over one positive int scale for rationals and ints, and the values themselves
@@ -39,7 +39,7 @@ Scalar = Union[int, Fraction, float]
 
 
 class ExactBackend:
-    """Arbitrary-precision rationals; equality and zero tests are exact."""
+    """Arbitrary-precision rationals; equality is exact."""
 
     def convert(self, x):
         """An exact value on this backend: the value itself."""
@@ -47,12 +47,6 @@ class ExactBackend:
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         return a == b
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
-    def is_zero_over(self, x, scale) -> bool:
-        return x == 0
 
     def format(self, a: Scalar) -> str:
         q = Fraction(a)
@@ -65,18 +59,24 @@ class ExactBackend:
 
 @dataclass(frozen=True)
 class FloatBackend:
-    """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|)."""
+    """64-bit floats compared with |a-b| <= eps * max(1, |a|, |b|), 0 < eps < 1.
+
+    So ``eq(x, 0)`` is |x| <= eps, the zero test.  A cleared pair's zero test
+    reads the numerator: the value, on converted input (scale 1.0); an exact
+    test for a Fraction over another scale, which only an API caller passes.
+    """
 
     epsilon: float = 1e-9
 
     def __post_init__(self):
         epsilon = float(self.epsilon)
-        if not 0 < epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must be above 0 and below 1, got {epsilon!r}")
         object.__setattr__(self, "epsilon", epsilon)
 
     def convert(self, x):
-        """An exact value (octonion, matrix, plane or circle point) in floats.
+        """An exact octonion, matrix, plane or circle point in floats; Fractions,
+        ints, tuples and dicts come back unchanged.
 
         A ``Cleared`` value converts as n / scale on its cleared numerators,
         built or not: int division rounds correctly, so each entry is
@@ -87,6 +87,8 @@ class FloatBackend:
             return type(x)(x._shape([n / scale for n in nums]))
         if isinstance(x, CirclePoint):
             return x.map_scalars(float)
+        if isinstance(x, (Fraction, int, tuple, dict)):
+            return x
         return type(x)(self.convert(x.u), self.convert(x.v))  # an OrientedPlane
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
@@ -94,13 +96,6 @@ class FloatBackend:
         infinite operand would make the tolerance infinite too."""
         d = abs(a - b)
         return d < math.inf and d <= self.epsilon * max(1.0, abs(a), abs(b))
-
-    def is_zero(self, a: Scalar) -> bool:
-        return abs(a) <= self.epsilon
-
-    def is_zero_over(self, x, scale) -> bool:
-        """``is_zero`` of x / scale (not ``eq(x / scale, 0)``, true at epsilon >= 1)."""
-        return self.is_zero(quotient(x, scale))
 
     def format(self, a: Scalar) -> str:
         return format(float(a), ".17g")

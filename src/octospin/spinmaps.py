@@ -126,7 +126,7 @@ def basis_b(
     must vanish, taken column by column so the first failure names the later
     element (a real part of x fails against e0, a w inside span{e0, x, y, xy}
     against that span); the first four squared norms must be 1 and the last
-    four N.  Each condition is decided on the ``inner_cleared`` numerator sums.
+    four N, each decided with ``backend.eq`` on ``inner_cleared`` numerators.
     """
     check_plane(p, backend)
     x, y = p.u, p.v
@@ -135,11 +135,11 @@ def basis_b(
         w = complement_vector(x, y, xy, backend)
     elements = (Octonion.basis(0), x, y, xy, w, mul(w, x), mul(w, y), mul(w, xy))
     nw = inner_cleared(w, w)
-    if backend.is_zero_over(*nw):
+    if backend.eq(nw[0], 0):
         raise FrameError("w must be nonzero")
     for j in range(8):
         for i in range(j):
-            if not backend.is_zero_over(*inner_cleared(elements[i], elements[j])):
+            if not backend.eq(inner_cleared(elements[i], elements[j])[0], 0):
                 raise FrameError(
                     f"frame elements {FRAME_NAMES[i]} and {FRAME_NAMES[j]} "
                     "are not orthogonal"
@@ -237,10 +237,8 @@ def f7(
 
 def f5(p: OrientedPlane, t: CirclePoint, backend: Backend = EXACT) -> Matrix8:
     """Restriction of the Spin(7) map to planes inside span{e1..e5}."""
-    for vec in (p.u, p.v):
-        for idx in (0, 6, 7):
-            if not backend.is_zero(vec.coords[idx]):
-                raise PlaneError("plane must be supported on coordinates 1..5")
+    if not all(backend.eq(vec.coords[i], 0) for vec in (p.u, p.v) for i in (0, 6, 7)):
+        raise PlaneError("plane must be supported on coordinates 1..5")
     return f7(p, t, None, backend)
 
 
@@ -349,11 +347,11 @@ def verify_spin7(gt: Matrix8, backend: Backend = EXACT) -> MembershipReport:
     imaginary subspace: once g(e0) = e0, the first row of g^T g is the first
     row of g, so the ``so_check`` residual bounds it.
 
-    When |g~(e0)|^2 is zero for the backend (the test ``right_divide``
-    applies) there is no candidate: the report is a non-member with a zero
+    When ``backend.eq(|g~(e0)|^2, 0)`` (the test ``right_divide`` applies)
+    there is no candidate: the report is a non-member with a zero
     candidate_g and no relation failures.
     """
-    if backend.is_zero(norm_sq(gt.column(0))):
+    if backend.eq(norm_sq(gt.column(0)), 0):
         return MembershipReport(Matrix8(((0,) * 8,) * 8), (), False, False)
     g = project_double_cover(gt)
     fixes_e0 = oct_eq(g.column(0), Octonion.basis(0), backend)

@@ -125,12 +125,6 @@ class Tally:
     details: Optional[dict]
 
 
-#: Input types that carry backend scalars.  Other inputs (Fractions, ints,
-#: tuples of Fractions) stay exact: they are indices and the coefficients a
-#: failure record prints as p/q on every backend.
-_BACKEND_VALUES = (Octonion, OrientedPlane, CirclePoint, Matrix8)
-
-
 def _describe(x, backend: Backend):
     """JSON form of a failure record, on the backend the check ran on."""
     if isinstance(x, Octonion):
@@ -151,19 +145,17 @@ def _describe(x, backend: Backend):
 def _run(entry: Claim, backend: Backend, seed: int, trials: int, squares) -> List[dict]:
     """Check every instance of one table entry and build its report records.
 
-    Inputs of the ``_BACKEND_VALUES`` types go through ``backend.convert``
-    (exact ones pass as generated).  A ValueError or ArithmeticError raised
+    Every input goes through ``backend.convert``; indices, coefficients and
+    the squares dict stay as they are.  A ValueError or ArithmeticError raised
     by the check becomes a failure record of that instance for each claim;
     errors raised while generating inputs, and other exception types, propagate.
     """
     ids = list(entry.statements)
     tallies = {cid: Tally(0, [], None) for cid in ids}
     run = (seed, trials, squares) if entry.inputs is _run_config else (seed, trials)
-    for k, exact_inputs in enumerate(entry.inputs(*run)):
-        inputs = [backend.convert(x) if isinstance(x, _BACKEND_VALUES) else x
-                  for x in exact_inputs]
+    for k, inputs in enumerate(entry.inputs(*run)):
         try:
-            verdicts = entry.check(backend, *inputs)
+            verdicts = entry.check(backend, *map(backend.convert, inputs))
         except (ValueError, ArithmeticError) as err:
             verdicts = ({"trial": k, "error": f"{type(err).__name__}: {err}"},) * len(ids)
         else:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from octospin import spinmaps
+from octospin import spinmaps, suites
 from octospin.cli import main
 from octospin.octonion import parse_octonion
 from octospin.scalar import EXACT
@@ -75,11 +75,41 @@ def test_verify_rejects_infinite_epsilon(tmp_path, capsys):
     ["gen-frame"],
 ], ids=lambda command: command[0])
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-def test_unwritable_out_is_a_usage_error(tmp_path, command, target, capsys):
+def test_unwritable_out_is_a_usage_error(tmp_path, command, target, capsys, monkeypatch):
+    """verify reports the unwritable --out before any suite runs."""
+    def no_suite_runs(*args):
+        raise AssertionError("a suite ran before --out was checked")
+
+    monkeypatch.setattr(suites, "_run", no_suite_runs)
     out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
     assert run(command + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--backend", "float", "--epsilon", "1", "--seed", "11", "--trials", "2"],
+    ["eval", "f7", "--plane", "e1,e2", "--angle", "u=1/2", "--backend", "float",
+     "--epsilon", "2"],
+], ids=lambda command: command[0])
+def test_epsilon_of_one_or_more_is_a_usage_error(command, capsys, monkeypatch):
+    def no_suite_runs(*args):
+        raise AssertionError("a suite ran with an invalid epsilon")
+
+    monkeypatch.setattr(suites, "_run", no_suite_runs)
+    assert run(command) == 2
+    captured = capsys.readouterr()
+    assert "epsilon" in captured.err and captured.out == ""
+
+
+def test_verify_out_replaces_an_existing_file(tmp_path, capsys):
+    argv = ["verify", "--suites", "octonion-identities", "--trials", "1"]
+    assert run(argv) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "r.json"
+    out.write_text("x" * (2 * len(report)))
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == report
 
 
 def test_eval_rejects_nan_epsilon(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -75,8 +76,8 @@ def test_float_backend_equality():
     assert fb.eq(0.0, 5e-10)
     assert not fb.eq(1.0, 1.0 + 1e-6)
     assert fb.eq(1e6, 1e6 + 1e-4)  # relative tolerance at large scale
-    assert fb.is_zero(1e-10)
-    assert not fb.is_zero(1e-6)
+    assert fb.eq(1e-10, 0)
+    assert not fb.eq(1e-6, 0)
     # An infinite operand would make the tolerance infinite too.
     inf = float("inf")
     assert not fb.eq(inf, 1.0)
@@ -107,6 +108,33 @@ def test_float_backend_rejects_bad_epsilon():
 def test_float_backend_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         FloatBackend(epsilon)
+
+
+def test_float_backend_accepts_only_epsilon_below_one():
+    for bad in (lambda: FloatBackend(1.0), lambda: FloatBackend(2.0),
+                lambda: make_backend("float", 1.0)):
+        with pytest.raises(ValueError, match="epsilon"):
+            bad()
+    for good in (0.5, math.nextafter(1, 0)):
+        assert FloatBackend(good).epsilon == good
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 0.5, math.nextafter(1, 0)],
+                         ids=["1e-9", "0.5", "below-1"])
+def test_float_eq_with_zero_is_the_absolute_zero_test(epsilon):
+    """Below 1, eq(x, 0) is |x| <= epsilon: the zero tests rest on this."""
+    fb = FloatBackend(epsilon)
+    values = [0.0, -0.0, epsilon, -epsilon, math.nextafter(epsilon, 0),
+              math.nextafter(epsilon, 2), -math.nextafter(epsilon, 2), 1.0, -1.0,
+              1e300, -1e300, math.inf, -math.inf, math.nan, 0, 1, F(1, 3), F(-7, 2)]
+    for x in values:
+        assert fb.eq(x, 0) is (abs(x) <= epsilon), x
+
+
+def test_float_convert_returns_exact_scalars_and_tuples_unchanged():
+    half, coefficients = F(1, 2), (F(1, 3), F(-2, 5), F(4))
+    for x in (half, 3, coefficients):
+        assert FloatBackend().convert(x) is x
 
 
 def test_exact_serialization_round_trip():

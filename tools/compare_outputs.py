@@ -12,7 +12,9 @@ run whose record differs and exits 1 if any does, else 0.
 
 The matrix:
 - ``verify`` on the exact backend at seeds 1-3, trials 2;
-- ``verify`` on floats at seed 11, trials 2, at six epsilons from 1e-15 to 2;
+- ``verify`` on floats at seed 11, trials 2, at six epsilons from 1e-15 to 2
+  (epsilon 2 checks the rejection of a tolerance of 1 or more: exit 2, with
+  stderr naming epsilon);
 - the first 60 seed-1 requests of the benchmark's eval-height workload, each
   exact, on floats, and on floats at epsilon 1e-15;
 - ``table`` on the plane e1,e2, exact and float, with the default w and five

@@ -20,16 +20,15 @@ records equal those of the unmutated copy.  The probe prints every survivor
 and a summary line, and exits 0; on all six modules it takes a few minutes.
 
 A survivor is a test that the report at this seed does not depend on.  At
-the last count, 170 of 321 mutants survived and 2 timed out, in 115 s on a
+the last count, 168 of 321 mutants survived and 2 timed out, in 107 s on a
 shared 2-core host, in six expected groups:
 - pure shortcuts, which skip work whose result is the same:
   ``mul_numerators``' test of the table identities (a run rebinds no table,
   and generating the product again gives the same one),
-  ``Cleared.scaled``'s ``g != 1``, ``FloatBackend.convert``'s circle-point
-  test forced True (a plane converted by ``map_scalars(float)`` has the same
-  bits), ``project_out``'s zero-dot skip and int-scale test,
-  ``determinant``'s int scale, ``_bareiss``' ``piv != k``, the fast paths of
-  ``cleared_eq``, either operand of ``cleared``'s float test, and
+  ``Cleared.scaled``'s ``g != 1``, ``project_out``'s zero-dot skip and
+  int-scale test, ``determinant``'s int scale, ``_bareiss``' ``piv != k``,
+  the fast paths of ``cleared_eq``, either operand of ``cleared``'s float
+  test, and
   ``_rotation_product``'s int-scale sum, which equals the chain of products
   exactly, and the commuting square's reuse within one run;
 - checks forced to their passing side: the unmutated run passes every claim,
@@ -43,9 +42,7 @@ shared 2-core host, in six expected groups:
   loop crosses the cut the same net number of times either way;
 - what only a failure or another seed would show: a passing report prints
   few scalars, so ``_describe``'s formatting of failure records leaves it
-  unchanged, and so does ``_run``'s ``backend.convert`` of the inputs
-  (exact inputs pass the float checks too; the pinned float digests of the
-  tests catch it);
+  unchanged;
 - code the verify command does not run: parsing (``parse_circle_point``,
   ``FloatBackend.parse``), ``format_frame_table``, ``make_backend``,
   ``spin8_map``, ``f5``'s support test and argument validation;
