@@ -10,7 +10,8 @@ Special-orthogonal matrices with exact rational entries come from the
 Cayley transform A -> (I - A)(I + A)^-1 of random antisymmetric rational
 matrices; their columns provide exactly orthonormal frames for the random
 plane generator.  On exact input their solve, the determinant and the
-Gram-Schmidt step are fraction-free, on the integer numerators.
+Gram-Schmidt step are fraction-free, on the integer numerators; an exactly
+orthogonal matrix's determinant, +-1, is read off one residue mod a prime.
 """
 
 from __future__ import annotations
@@ -189,10 +190,28 @@ class SOReport:
     passed: bool
 
 
+_PRIME = 2**30 - 35  # below 2**30: every residue mod it is one CPython digit
+
+
+def _orthogonal_determinant(m: Matrix8) -> Fraction:
+    """det M of an M = N/s over an int scale s with M^T M = I exactly, as the
+    Fraction 1 or -1: det N = +-s^8, and the sign is the one whose residue
+    det N has mod ``_PRIME``, from forward ``_bareiss`` on N's residues.
+    Takes ``determinant`` when _PRIME divides s, as +-s^8 are then both 0."""
+    nums, scale = m.cleared
+    if not scale % _PRIME:
+        return determinant(m)
+    sign, last = _bareiss([[x % _PRIME for x in nums[i:i + 8]] for i in range(0, 64, 8)], 8, True)
+    return Fraction(1 if sign * last % _PRIME == pow(scale, 8, _PRIME) else -1)
+
+
 def so_check(m: Matrix8, backend: Backend = EXACT) -> SOReport:
-    """The residual ``max_abs_diff(M^T M, I)``, the determinant, and the verdict."""
+    """The residual ``max_abs_diff(M^T M, I)``, the determinant, and the verdict;
+    the determinant is ``_orthogonal_determinant`` once the residual is 0 on
+    an int scale."""
     residual = max_abs_diff(compose(m.transpose(), m), Matrix8.identity())
-    det = determinant(m)
+    orthogonal = type(m.cleared[1]) is int and residual == 0
+    det = (_orthogonal_determinant if orthogonal else determinant)(m)
     ok = backend.eq(residual, 0) and backend.eq(det, 1)
     return SOReport(residual, det, ok)
 

@@ -16,9 +16,10 @@ or the 64 matrix entries row-major.  Kernel results (``mul``, ``compose``,
 is reduced by one gcd and kept, the values built as ``Fraction``s on first
 read (``FloatBackend.convert`` divides the numerators instead); a float scale
 is divided out at once, which leaves every float bit unchanged.
-Equality (``cleared_eq``), the residual ``max_abs_diff`` and the relation
-g(a) g~(b) = g~(a*b) compare x*sb with y*sa on the numerators; the Bareiss
-``determinant`` builds a Fraction only for its result, and ``solve_linear``
+Equality (``cleared_eq``) and the residual ``max_abs_diff`` compare x*sb
+with y*sa on the numerators, the relation g(a) g~(b) = g~(a*b) brings each
+side to one scale, the Bareiss ``determinant`` and the residue sign of an
+orthogonal one build a Fraction only for the result, and ``solve_linear``
 returns int rows over its last pivot.
 
 Rotation angles are never stored as radians.  A rotation parameter is a

@@ -60,6 +60,7 @@ from .scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
+    ExactBackend,
     Scalar,
     cleared,
     cleared_eq,
@@ -310,29 +311,38 @@ class MembershipReport:
         }
 
 
+def _over_one_scale(vectors, factor=1):
+    """The vectors' numerators times ``factor`` over the lcm of their int scales
+    times factor; on floats, where every scale is 1, as they are over 1.0."""
+    pairs = [v.cleared for v in vectors]
+    if any(type(s) is not int for _, s in pairs):
+        return [nums for nums, _ in pairs], 1.0
+    common = math.lcm(*[s for _, s in pairs])
+    return [[x * (common // s * factor) for x in nums] for nums, s in pairs], common * factor
+
+
 def _relation_failures(left, images, table, n, backend: Backend, rows=range(8)):
     """The pairs (i, j), i in rows, where g(a_i) h(b_j) != h(a_i * b_j).
 
     a and b run over one basis, with ``table`` giving a_i * b_j =
-    sign * n**power * b_k.  ``left[i]`` = g(a_i) and ``images[j]`` = h(b_j)
-    are multiplied out; the right side is read off ``images[k]``.  Each
-    operand is cleared once, g(a_i) = A_i/s_i and h(b_j) = H_j/s_j with
-    n = nn/ns, and the relation is decided on the cross-products
-    (A_i H_j) * s_k * ns**power == sign * nn**power * s_i * s_j * H_k.  On
-    floats every scale is 1 and the signs are exact, so the comparisons
-    see the same values as on the product and the signed, scaled image.
+    sign * n**power * b_k, power 0 or 1.  ``left[i]`` = g(a_i) and
+    ``images[j]`` = h(b_j) are multiplied out, each over one scale:
+    h(b_j) = H_j/S and g(a_i) = A_i/L, where ns divides L for n = nn/ns.  The
+    relation is A_i H_j == sign * nn**power * (L / ns**power) * H_k, its
+    right side built once per table entry; on floats, where every scale is
+    1, the values are compared by ``backend.eq``.
     """
-    rights = [v.cleared for v in images]
     (nn,), ns = cleared([n])
+    lefts, lscale = _over_one_scale([left[i] for i in rows], ns)
+    hs = _over_one_scale(images)[0]
+    targets = {(sign, k, power): [sign * nn**power * (lscale // ns**power) * x for x in hs[k]]
+               for sign, k, power in {e for i in rows for e in table[i]}}
+    exact = isinstance(backend, ExactBackend)
     failures = []
-    for i in rows:
-        an, si = left[i].cleared
-        for j, (bn, sj) in enumerate(rights):
-            sign, k, power = table[i][j]
-            hk, sk = rights[k]
-            lscale, rscale = sk * ns**power, sign * nn**power * si * sj
-            prod = mul_numerators(an, bn)
-            if not all(backend.eq(c * lscale, rscale * h) for c, h in zip(prod, hk)):
+    for i, an in zip(rows, lefts):
+        for j, bn in enumerate(hs):
+            prod, target = mul_numerators(an, bn), targets[table[i][j]]
+            if not (prod == target if exact else all(map(backend.eq, prod, target))):
                 failures.append((i, j))
     return tuple(failures)
 

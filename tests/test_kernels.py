@@ -23,7 +23,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from octospin import octonion
+from octospin import geometry, octonion
 from octospin.geometry import (
     SUBSPACE_COORDS,
     Matrix8,
@@ -790,6 +790,75 @@ def test_float_determinant_keeps_the_bits():
     swap = _permutation([1, 0, 2, 3, 4, 5, 6, 7]).map_scalars(float)
     for m in [a for a, _, _, _ in _float_cases(rng)] + [mixed, swap]:
         _assert_same_bits(determinant(m), ref_determinant(m))
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Which of the residue path and ``determinant`` each so_check call took."""
+    calls = []
+    for name in ("_orthogonal_determinant", "determinant"):
+        fn = getattr(geometry, name)
+
+        def spy(m, fn=fn, name=name):
+            calls.append(name)
+            return fn(m)
+
+        monkeypatch.setattr(geometry, name, spy)
+    return calls
+
+
+def _orthogonal_cases():
+    """Exactly orthogonal matrices: a permutation and a quarter turn, which
+    need a row swap at the first step, then f7 values, plane rotations and
+    Cayley matrices, each also times a reflection (det -1)."""
+    rng = random.Random("kernels|orthogonal-determinant")
+    reflection = _with_entry(Matrix8.identity(), 5, 5, -1)
+    yield _permutation([1, 2, 3, 4, 5, 6, 7, 0])
+    yield plane_rotation(OrientedPlane(Octonion.basis(0), Octonion.basis(1)), CirclePoint(0, 1))
+    for bits in (8, 32, 64, 128):
+        t = circle_from_parameter(F(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits)))
+        p = random_orthonormal_pair(rng.randrange(100))
+        for m in (f7(p, t), plane_rotation(p, t), cayley_orthogonal(random_antisymmetric(
+                rng, range(8)))):
+            yield m
+            yield compose(m, reflection)
+
+
+def test_orthogonal_determinant_is_the_bareiss_value(det_calls):
+    dets = []
+    for m in _orthogonal_cases():
+        rep = so_check(m)
+        want = ref_determinant(m)
+        assert type(rep.determinant) is F and rep.determinant == want == determinant(m)
+        assert rep.orthogonality_residual == 0 and rep.passed is (want == 1)
+        dets.append(want)
+    assert det_calls == ["_orthogonal_determinant"] * len(dets) and {1, -1} == set(dets)
+
+
+def test_non_orthogonal_and_float_matrices_keep_determinant(det_calls):
+    rng = random.Random("kernels|orthogonal-determinant|other")
+    rotation = plane_rotation(random_orthonormal_pair(3), circle_from_parameter(F(2, 7)))
+    for m in (_exact_matrix(rng, 16), rotation.map_scalars(lambda x: 2 * x)):
+        rep = so_check(m)
+        assert rep.determinant == ref_determinant(m) and not rep.passed
+    _assert_same_bits(so_check(rotation.map_scalars(float), FLOAT).determinant,
+                      ref_determinant(rotation.map_scalars(float)))
+    assert det_calls == ["determinant"] * 3
+
+
+def test_a_prime_dividing_the_scale_falls_back_to_determinant(det_calls, monkeypatch):
+    monkeypatch.setattr(geometry, "_PRIME", 5)
+    rotation = plane_rotation(OrientedPlane(Octonion.basis(1), Octonion.basis(2)),
+                              CirclePoint(F(3, 5), F(4, 5)))
+    reflected = compose(rotation, _with_entry(Matrix8.identity(), 5, 5, -1))
+    assert rotation.cleared[1] == reflected.cleared[1] == 5
+    assert so_check(rotation).determinant == 1 and so_check(reflected).determinant == -1
+    assert det_calls == ["_orthogonal_determinant", "determinant"] * 2
+
+
+def test_the_residue_prime_is_one_digit_and_prime():
+    p = geometry._PRIME
+    assert p < 2**30 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def ref_project_out(a, span):

@@ -202,6 +202,14 @@ _DEFECTS = {
         _over_n_again,
         {"f7.w-choice-invariance", "triality.quarter-turn"},
     ),
+    # Every exactly orthogonal matrix on an int scale takes the residue path.
+    "orthogonal-det-sign-flipped": (
+        geometry._orthogonal_determinant,
+        lambda original: lambda m: -original(m),
+        {"rotation.special-orthogonal", "geometry.cayley-special-orthogonal", "spin7.f7-image",
+         "spin7.f5-image", "spin7.product-image", "spin7.minus-identity",
+         "spin8.product-coordinates"},
+    ),
     "basis-rotation-swaps-pair": (
         geometry.rotate_plane_basis,
         lambda original: lambda *args: _swapped(original(*args)),

@@ -20,7 +20,7 @@ records equal those of the unmutated copy.  The probe prints every survivor
 and a summary line, and exits 0; on all six modules it takes a few minutes.
 
 A survivor is a test that the report at this seed does not depend on.  At
-the last count, 168 of 321 mutants survived and 2 timed out, in 107 s on a
+the last count, 174 of 333 mutants survived and 2 timed out, in 143 s on a
 shared 2-core host, in six expected groups:
 - pure shortcuts, which skip work whose result is the same:
   ``mul_numerators``' test of the table identities (a run rebinds no table,
@@ -28,11 +28,15 @@ shared 2-core host, in six expected groups:
   ``Cleared.scaled``'s ``g != 1``, ``project_out``'s zero-dot skip and
   int-scale test, ``determinant``'s int scale, ``_bareiss``' ``piv != k``,
   the fast paths of ``cleared_eq``, either operand of ``cleared``'s float
-  test, and
+  test, ``so_check``'s residue path forced off and ``_orthogonal_determinant``'s
+  fallback for a prime dividing the scale either way (``determinant`` gives
+  the same +-1), ``_relation_failures``' exact list equality forced to the
+  per-coordinate ``eq`` (which is ``==`` there), and
   ``_rotation_product``'s int-scale sum, which equals the chain of products
   exactly, and the commuting square's reuse within one run;
 - checks forced to their passing side: the unmutated run passes every claim,
-  so a verdict forced to pass, or an error forced not to raise (the plane,
+  so a verdict forced to pass (among them ``_orthogonal_determinant``'s sign
+  forced to +1), or an error forced not to raise (the plane,
   frame, singular-system and zero-division guards, ``circle_samples``' test
   of the sample count, and the winding count's antipode test, which no wound
   map reaches), leaves it unchanged;
@@ -42,7 +46,8 @@ shared 2-core host, in six expected groups:
   loop crosses the cut the same net number of times either way;
 - what only a failure or another seed would show: a passing report prints
   few scalars, so ``_describe``'s formatting of failure records leaves it
-  unchanged;
+  unchanged, and ``so_check``'s zero-residual test dropped sends only a matrix
+  that fails anyway to the residue path;
 - code the verify command does not run: parsing (``parse_circle_point``,
   ``FloatBackend.parse``), ``format_frame_table``, ``make_backend``,
   ``spin8_map``, ``f5``'s support test and argument validation;
