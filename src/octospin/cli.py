@@ -79,12 +79,13 @@ def _write_output(payload: str, path) -> None:
 
 def _check_writable(path) -> None:
     """Raise the OSError naming path that ``_write_output`` would, creating and
-    truncating nothing: append to an existing path, or look up its directory."""
+    truncating nothing: append to an existing path, or look up its directory
+    (an empty path is looked up itself and, as in ``open``, not found)."""
     try:
         if path != "-" and os.path.exists(path):
             open(path, "a").close()
         else:
-            os.stat(os.path.join(os.path.dirname(path), "."))
+            os.stat(path and os.path.join(os.path.dirname(path), "."))
     except OSError as err:
         raise type(err)(err.errno, err.strerror, path) from None
 

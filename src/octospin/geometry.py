@@ -16,7 +16,6 @@ orthogonal matrix's determinant, +-1, is read off one residue mod a prime.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .octonion import Octonion, Vector8, inner, inner_cleared, mul, norm_sq
-from .scalar import Backend, Cleared, EXACT, Scalar, cleared, cleared_eq, derived_rng, quotient
+from .scalar import (Backend, Cleared, EXACT, Scalar, cleared, cleared_eq, derived_rng,
+                     over_one_scale, quotient)
 
 
 class PlaneError(ValueError):
@@ -223,18 +223,13 @@ def plane_rotation(p: OrientedPlane, t, backend: Backend = EXACT) -> Matrix8:
     I + ((c-1)/N)(u u^T + v v^T) + (s/N)(v u^T - u v^T); it sends
     u -> c*u + s*v and v -> -s*u + c*v and is special orthogonal.  The
     entries are computed on the cleared numerators of the two coefficients
-    and of u and v (over the lcm of their scales, or the values over 1.0 once
-    a float is among them), and ``scaled`` over the product of the scales
-    (the identity adds the scale to the diagonal numerators).
+    and of u and v, brought ``over_one_scale``, and ``scaled`` over the
+    product of the scales (the identity adds the scale to the diagonal
+    numerators).
     """
     n = check_plane(p, backend)
     (a, b), sab = cleared([(t.c - 1) / n, t.s / n])
-    (un, su), (vn, sv) = p.u.cleared, p.v.cleared
-    if type(su) is type(sv) is int:
-        suv = math.lcm(su, sv)
-        u, v = [x * (suv // su) for x in un], [x * (suv // sv) for x in vn]
-    else:
-        u, v, suv = p.u.coords, p.v.coords, 1.0
+    (u, v), suv = over_one_scale([p.u.cleared, p.v.cleared])
     scale = sab * suv * suv
     nums = []
     for i in range(8):

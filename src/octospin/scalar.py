@@ -16,9 +16,12 @@ or the 64 matrix entries row-major.  Kernel results (``mul``, ``compose``,
 is reduced by one gcd and kept, the values built as ``Fraction``s on first
 read (``FloatBackend.convert`` divides the numerators instead); a float scale
 is divided out at once, which leaves every float bit unchanged.
-Equality (``cleared_eq``) and the residual ``max_abs_diff`` compare x*sb
-with y*sa on the numerators, the relation g(a) g~(b) = g~(a*b) brings each
-side to one scale, the Bareiss ``determinant`` and the residue sign of an
+``over_one_scale`` brings several cleared operands to one scale (the lcm of
+int scales; the values over 1.0 once a float scale is among them): the two
+vectors of a plane rotation, the four plane terms of the complex structure
+J, and each side of the relation g(a) g~(b) = g~(a*b).  Equality
+(``cleared_eq``) and the residual ``max_abs_diff`` compare x*sb with y*sa
+on the numerators, the Bareiss ``determinant`` and the residue sign of an
 orthogonal one build a Fraction only for the result, and ``solve_linear``
 returns int rows over its last pivot.
 
@@ -142,6 +145,22 @@ def cleared(values):
 def quotient(n, scale):
     """n / scale as the reduced ``Fraction(n, scale)`` on an int scale, else ``n / scale``."""
     return Fraction(n, scale) if type(scale) is int else n / scale
+
+
+def over_one_scale(pairs):
+    """The cleared (numerators, scale) pairs brought to one scale: (numerator
+    lists, common scale).
+
+    On int scales each pair's numerators are multiplied by lcm // scale and
+    the scale is the lcm.  Once any scale is a float, each pair's values
+    come back over 1.0: the numerators themselves on scale 1 (floats and
+    integer-valued rationals), the ``quotient``s otherwise, so a rational
+    operand beside floats keeps its value.
+    """
+    if any(type(s) is not int for _, s in pairs):
+        return [nums if s == 1 else [quotient(x, s) for x in nums] for nums, s in pairs], 1.0
+    common = math.lcm(*[s for _, s in pairs])
+    return [[x * (common // s) for x in nums] for nums, s in pairs], common
 
 
 def cleared_eq(xs, sa, ys, sb, backend) -> bool:

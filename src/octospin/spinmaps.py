@@ -26,7 +26,6 @@ g~ -> g is the double covering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Tuple
@@ -65,6 +64,7 @@ from .scalar import (
     cleared,
     cleared_eq,
     double_angle,
+    over_one_scale,
 )
 
 
@@ -95,11 +95,10 @@ class FrameB:
     @cached_property
     def complex_structure(self) -> Matrix8:
         """J = sum_k (v_k u_k^T - u_k v_k^T) / N_k over the ``planes`` [u_k, v_k]
-        of exact elements: the ``_plane_term`` numerators over the lcm of their
-        denominators, negated below.  J^2 = -I; f7 at (c, s) is c*I + s*J."""
-        terms = [_plane_term(q) for q in self.planes()]
-        den = math.lcm(*(d for _, d in terms))
-        upper = map(sum, zip(*[[x * (den // d) for x in n] for n, d in terms]))
+        of exact elements: the four ``_plane_term``s brought ``over_one_scale``
+        and summed, negated below the diagonal.  J^2 = -I; f7 at (c, s) is c*I + s*J."""
+        terms, den = over_one_scale([_plane_term(q) for q in self.planes()])
+        upper = map(sum, zip(*terms))
         nums = [0] * 64
         for (i, j), x in zip(_UPPER, upper):
             nums[8 * i + j], nums[8 * j + i] = x, -x
@@ -108,10 +107,9 @@ class FrameB:
 
 def _plane_term(p: OrientedPlane):
     """(v u^T - u v^T) / |u|^2 of the plane [u, v]: the int numerators V_i U_j -
-    U_i V_j, (i, j) in ``_UPPER``, over U.U, for u = U/S, v = V/S on one scale S."""
-    (un, su), (vn, sv) = p.u.cleared, p.v.cleared
-    s = math.lcm(su, sv)
-    u, v = [x * (s // su) for x in un], [x * (s // sv) for x in vn]
+    U_i V_j, (i, j) in ``_UPPER``, over U.U, for u = U/S, v = V/S on the one
+    scale S of ``over_one_scale``, which cancels."""
+    (u, v), _ = over_one_scale([p.u.cleared, p.v.cleared])
     return [v[i] * u[j] - u[i] * v[j] for i, j in _UPPER], sum(x * x for x in u)
 
 
@@ -311,31 +309,20 @@ class MembershipReport:
         }
 
 
-def _over_one_scale(vectors, factor=1):
-    """The vectors' numerators times ``factor`` over the lcm of their int scales
-    times factor; on floats, where every scale is 1, as they are over 1.0."""
-    pairs = [v.cleared for v in vectors]
-    if any(type(s) is not int for _, s in pairs):
-        return [nums for nums, _ in pairs], 1.0
-    common = math.lcm(*[s for _, s in pairs])
-    return [[x * (common // s * factor) for x in nums] for nums, s in pairs], common * factor
-
-
 def _relation_failures(left, images, table, n, backend: Backend, rows=range(8)):
     """The pairs (i, j), i in rows, where g(a_i) h(b_j) != h(a_i * b_j).
 
     a and b run over one basis, with ``table`` giving a_i * b_j =
     sign * n**power * b_k, power 0 or 1.  ``left[i]`` = g(a_i) and
-    ``images[j]`` = h(b_j) are multiplied out, each over one scale:
-    h(b_j) = H_j/S and g(a_i) = A_i/L, where ns divides L for n = nn/ns.  The
-    relation is A_i H_j == sign * nn**power * (L / ns**power) * H_k, its
-    right side built once per table entry; on floats, where every scale is
-    1, the values are compared by ``backend.eq``.
+    ``images[j]`` = h(b_j) are multiplied out, each side ``over_one_scale``:
+    h(b_j) = H_j/S, and g(a_i) = A_i/L with n = N/L on the same scale L.  The
+    relation is A_i H_j == sign * (N if power else L) * H_k, its right side
+    built once per table entry; on floats L is 1.0 and the numerators are
+    values, compared by ``backend.eq``.
     """
-    (nn,), ns = cleared([n])
-    lefts, lscale = _over_one_scale([left[i] for i in rows], ns)
-    hs = _over_one_scale(images)[0]
-    targets = {(sign, k, power): [sign * nn**power * (lscale // ns**power) * x for x in hs[k]]
+    (*lefts, (nn,)), lscale = over_one_scale([left[i].cleared for i in rows] + [cleared([n])])
+    hs = over_one_scale([h.cleared for h in images])[0]
+    targets = {(sign, k, power): [sign * (nn if power else lscale) * x for x in hs[k]]
                for sign, k, power in {e for i in rows for e in table[i]}}
     exact = isinstance(backend, ExactBackend)
     failures = []

@@ -74,14 +74,15 @@ def test_verify_rejects_infinite_epsilon(tmp_path, capsys):
     ["table", "--plane", "e1,e2"],
     ["gen-frame"],
 ], ids=lambda command: command[0])
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "empty"])
 def test_unwritable_out_is_a_usage_error(tmp_path, command, target, capsys, monkeypatch):
     """verify reports the unwritable --out before any suite runs."""
     def no_suite_runs(*args):
         raise AssertionError("a suite ran before --out was checked")
 
     monkeypatch.setattr(suites, "_run", no_suite_runs)
-    out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
+    out = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "r.json",
+           "empty": ""}[target]
     assert run(command + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err

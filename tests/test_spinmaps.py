@@ -566,11 +566,16 @@ def test_relation_loop_matches_reference_when_norm_w_is_not_one(relation_calls, 
         p, w = _on(backend, P12, w)
         frame = basis_b(p, w, backend)
         assert frame.norm_w != 1 and frame_table(frame, backend) == ()
+    # w left rational beside a float plane: its numerators are not its values
+    p, t = _on(backend, P12, T35)
+    w = E[4].scale(F(1, 3))
+    assert frame_table(basis_b(p, w, backend), backend) == ()
+    assert verify_spin7(f7(p, t, w, backend), backend).is_member
     for k in range(3):
         p, t = _on(backend, *rand_inputs(k))
         assert triality_check(p, t, backend).explicit_case_ok
-    # two frame tables, then a pair and a half-turn check per triality
-    assert len(relation_calls) == 8 and not any(relation_calls)
+    # three frame tables, a membership, then a pair and a half-turn check per triality
+    assert len(relation_calls) == 10 and not any(relation_calls)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])

@@ -20,7 +20,7 @@ records equal those of the unmutated copy.  The probe prints every survivor
 and a summary line, and exits 0; on all six modules it takes a few minutes.
 
 A survivor is a test that the report at this seed does not depend on.  At
-the last count, 174 of 333 mutants survived and 2 timed out, in 143 s on a
+the last count, 177 of 335 mutants survived and 2 timed out, in 122 s on a
 shared 2-core host, in six expected groups:
 - pure shortcuts, which skip work whose result is the same:
   ``mul_numerators``' test of the table identities (a run rebinds no table,
@@ -33,7 +33,10 @@ shared 2-core host, in six expected groups:
   the same +-1), ``_relation_failures``' exact list equality forced to the
   per-coordinate ``eq`` (which is ``==`` there), and
   ``_rotation_product``'s int-scale sum, which equals the chain of products
-  exactly, and the commuting square's reuse within one run;
+  exactly, and its frame-scale test dropped, which sends a float frame at the
+  exact quarter turn to the float J, equal to the chain within the tolerance,
+  ``over_one_scale``'s scale-1 test forced False (a quotient over 1 is the
+  value itself), and the commuting square's reuse within one run;
 - checks forced to their passing side: the unmutated run passes every claim,
   so a verdict forced to pass (among them ``_orthogonal_determinant``'s sign
   forced to +1), or an error forced not to raise (the plane,
@@ -50,7 +53,10 @@ shared 2-core host, in six expected groups:
   that fails anyway to the residue path;
 - code the verify command does not run: parsing (``parse_circle_point``,
   ``FloatBackend.parse``), ``format_frame_table``, ``make_backend``,
-  ``spin8_map``, ``f5``'s support test and argument validation;
+  ``spin8_map``, ``f5``'s support test and argument validation, and
+  ``over_one_scale``'s scale-1 test forced True, which misreads only a
+  rational operand over another scale beside floats (a float run converts
+  every input; only an API caller builds one, as the tests do);
 - checks of what a construction guarantees, kept so that a defect in the
   construction turns the report red: ``verify_spin7``'s ``fixes_e0``
   (``project_double_cover`` builds g(e0) = e0).
