@@ -18,15 +18,12 @@ import os
 import re
 import sys
 
-from .geometry import (
-    OrientedPlane,
-    random_orthonormal_pair,
-    serialize_matrix,
-    so_check,
-)
+from .geometry import (SUBSPACE_COORDS, OrientedPlane, random_orthonormal_pair,
+                       serialize_matrix, so_check)
 from .octonion import Octonion, inner, norm_sq, parse_octonion, serialize
 from .scalar import Backend, EXACT, make_backend, parse_circle_point
 from .spinmaps import (
+    FRAME_NAMES,
     FRAME_TABLE,
     basis_b,
     f5,
@@ -91,8 +88,8 @@ def _check_writable(path) -> None:
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("exact", "float"), default="exact")
-    parser.add_argument("--epsilon", type=float, default=1e-9)
+    parser.add_argument("--backend", choices=("exact", "float"), default=RunConfig.backend)
+    parser.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
 
 
 def _cmd_verify(args) -> int:
@@ -160,7 +157,7 @@ def _cmd_table(args) -> int:
         sys.stderr.write(f"frame products {list(mismatches)} disagree with FRAME_TABLE\n")
         return 1
     lines = [
-        "frame: e0, x, y, xy, w, wx, wy, w(xy)",
+        "frame: " + ", ".join(FRAME_NAMES),
         "w = [" + ", ".join(serialize(frame.elements[4], backend)) + "]",
         "|w|^2 = N = " + backend.format(frame.norm_w),
         "",
@@ -201,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: " + ", ".join(SUITE_NAMES),
     )
     _add_backend_flags(p_verify)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_verify.add_argument("--trials", type=int, default=RunConfig.trials)
     p_verify.add_argument("--out", default="-")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -226,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_gen = sub.add_parser("gen-frame", help="print an exact random orthonormal pair")
-    p_gen.add_argument("--seed", type=int, default=42)
+    p_gen.add_argument("--seed", type=int, default=RunConfig.seed)
     p_gen.add_argument("--index", type=int, default=0)
-    p_gen.add_argument("--subspace", choices=("R7", "R5"), default="R7")
+    p_gen.add_argument("--subspace", choices=tuple(SUBSPACE_COORDS), default="R7")
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=_cmd_gen_frame)
 

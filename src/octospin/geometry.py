@@ -293,7 +293,8 @@ def cayley_orthogonal(a: Matrix8) -> Matrix8:
     The result is an exact rational special-orthogonal matrix; I + A is
     always invertible for real antisymmetric A.
     """
-    return Matrix8.from_rows(c.coords for c in cayley_columns(a, range(8))).transpose()
+    cols, scale = over_one_scale([c.cleared for c in cayley_columns(a, range(8))])
+    return Matrix8.scaled([x for row in zip(*cols) for x in row], scale)
 
 
 SUBSPACE_COORDS = {"R7": (1, 2, 3, 4, 5, 6, 7), "R5": (1, 2, 3, 4, 5)}

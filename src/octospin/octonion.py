@@ -76,6 +76,7 @@ class Octonion(Cleared):
     def __post_init__(self):
         if len(self.coords) != 8:
             raise ValueError("octonion needs exactly 8 coordinates")
+        super().__post_init__()
 
     @staticmethod
     def basis(i: int) -> "Octonion":
@@ -132,8 +133,9 @@ def conj_numerators(an) -> list:
 
 
 def conj(a: Octonion) -> Octonion:
-    """Conjugation: negate the imaginary part."""
-    return Octonion(tuple(conj_numerators(a.coords)))
+    """Conjugation: negate the imaginary part, on the cleared numerators."""
+    nums, scale = a.cleared
+    return Octonion.scaled(conj_numerators(nums), scale)
 
 
 def inner_cleared(a: Octonion, b: Octonion):
@@ -158,7 +160,7 @@ def right_divide(a: Octonion, u: Octonion, backend: Backend = EXACT) -> Octonion
     ``backend.eq(nn, 0)``; otherwise the quotient is the product of the
     numerators times ns, ``scaled`` over sa * sc * nn.
     """
-    (an, sa), (un, su) = a.cleared, u.cleared
+    an, sa = a.cleared
     nn, ns = inner_cleared(u, u)
     if backend.eq(nn, 0):
         raise ZeroDivisionError("division by the zero octonion")

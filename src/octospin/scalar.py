@@ -9,13 +9,14 @@ the scalar type and stays inside whichever backend its inputs came from.
 
 The cleared form of a list of scalars is ``cleared``: Python-int numerators
 over one positive int scale for rationals and ints, and the values themselves
-over 1.0 once a float is among them.  Octonions and matrices keep it per
-object, as the ``Cleared`` base class's ``cleared``: the flat 8 coordinates,
-or the 64 matrix entries row-major.  Kernel results (``mul``, ``compose``,
-``apply``, ``plane_rotation`` and others) are ``Cleared.scaled``: an int scale
-is reduced by one gcd and kept, the values built as ``Fraction``s on first
-read (``FloatBackend.convert`` divides the numerators instead); a float scale
-is divided out at once, which leaves every float bit unchanged.
+over 1.0 once a float is among them.  Every octonion and matrix carries its
+cleared form from construction, as the ``Cleared`` base class's ``cleared``:
+the flat 8 coordinates, or the 64 matrix entries row-major.  A value built
+from its entries is cleared once, when it is made.  Kernel results (``mul``,
+``compose``, ``apply``, ``plane_rotation`` and others), conversions to
+floats, negations and conjugates are ``Cleared.scaled``: an int scale is
+reduced by one gcd, a float scale is divided into the values over 1.0, and
+the entries are built from the pair with ``quotient`` on first read.
 ``over_one_scale`` brings several cleared operands to one scale (the lcm of
 int scales; the values over 1.0 once a float scale is among them): the two
 vectors of a plane rotation, the four plane terms of the complex structure
@@ -36,7 +37,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -83,12 +83,12 @@ class FloatBackend:
         ints, tuples and dicts come back unchanged.
 
         A ``Cleared`` value converts as n / scale on its cleared numerators,
-        built or not: int division rounds correctly, so each entry is
+        ``scaled`` over 1.0: int division rounds correctly, so each entry is
         ``float(Fraction(n, scale))`` without the Fraction.
         """
         if isinstance(x, Cleared):
             nums, scale = x.cleared
-            return type(x)(x._shape([n / scale for n in nums]))
+            return x.scaled([n / scale for n in nums], 1.0)
         if isinstance(x, CirclePoint):
             return x.map_scalars(float)
         if isinstance(x, (Fraction, int, tuple, dict)):
@@ -185,13 +185,17 @@ class Cleared:
 
     A subclass is a frozen dataclass whose one field, named by ``_field``,
     holds the values, and its ``_shape`` turns a flat list of entries into
-    that field's value; ``_flat`` reads the field back as a flat list.  An
-    object from ``scaled`` holds only its cleared form until the field is
-    first read; equality, hashing and repr read the field, so they see the
-    same values as for an object built from them.
+    that field's value; ``_flat`` reads the field back as a flat list.  Every
+    object carries ``cleared`` from construction: one built from its entries
+    clears them in ``__post_init__``, and one from ``scaled`` holds only the
+    pair and builds the field with ``quotient`` on first read.  ``cleared``
+    is not a field, so equality, hashing and repr see only the values.
     """
 
     _field: str
+
+    def __post_init__(self):
+        self.__dict__["cleared"] = cleared(self._flat())
 
     def _flat(self):
         """The entries as one flat list (the field itself when it is flat)."""
@@ -199,44 +203,39 @@ class Cleared:
 
     @classmethod
     def scaled(cls, nums, scale):
-        """The object with entries nums[i] / scale, for a kernel result.
+        """The object with entries nums[i] / scale, held as ``cleared``.
 
-        On an int scale the pair is divided by ``gcd(scale, *nums)``, which
-        makes it ``cleared`` of the reduced Fractions, and kept as
-        ``cleared``; the entries are built on first read.  A float scale is
-        divided out at once, as ``quotient`` would.
+        An int scale is reduced: the pair is divided by ``gcd(scale, *nums)``,
+        which makes it ``cleared`` of the reduced Fractions.  A float scale is
+        divided into the numerators, as ``quotient`` divides, which leaves the
+        values over 1.0, the cleared form of floats.
         """
-        if type(scale) is not int:
-            return cls(cls._shape([x / scale for x in nums]))
-        g = math.gcd(scale, *nums)
-        if g != 1:
-            nums, scale = [x // g for x in nums], scale // g
+        if type(scale) is int:
+            g = math.gcd(scale, *nums)
+            if g != 1:
+                nums, scale = [x // g for x in nums], scale // g
+        else:
+            nums, scale = [x / scale for x in nums], 1.0
         obj = object.__new__(cls)
         obj.__dict__["cleared"] = (nums, scale)
         return obj
 
     def __getattr__(self, name):
-        """Build the field of a ``scaled`` object, whose scale is an int, on first read."""
-        if name != self._field or "cleared" not in self.__dict__:
+        """Build the field of a ``scaled`` object from ``cleared`` on first read."""
+        if name != self._field:
             raise AttributeError(name)
-        nums, scale = self.__dict__["cleared"]
-        value = self.__dict__[name] = self._shape([Fraction(x, scale) for x in nums])
-        return value
-
-    @cached_property
-    def cleared(self):
-        """``cleared`` of the flat entries; not a field, so equality, hashing
-        and repr see only the values."""
-        return cleared(self._flat())
+        nums, scale = self.cleared
+        return self.__dict__.setdefault(name, self._shape([quotient(x, scale) for x in nums]))
 
     def map_scalars(self, fn):
         return type(self)(self._shape([fn(x) for x in self._flat()]))
 
     def __neg__(self):
-        return type(self)(self._shape([-x for x in self._flat()]))
+        nums, scale = self.cleared
+        return self.scaled([-x for x in nums], scale)
 
 
-def make_backend(name: str, epsilon: float = 1e-9) -> Backend:
+def make_backend(name: str, epsilon: float = FloatBackend.epsilon) -> Backend:
     """Build a backend from its config name ("exact" or "float")."""
     if name == "exact":
         return EXACT

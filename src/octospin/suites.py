@@ -61,6 +61,7 @@ from .scalar import (
     CIRCLE_QUARTER,
     CirclePoint,
     EXACT,
+    FloatBackend,
     angle_sum,
     circle_from_parameter,
     derived_rng,
@@ -90,7 +91,7 @@ class RunConfig:
     """Configuration shared by every suite in one verification run."""
 
     backend: str = "exact"
-    epsilon: float = 1e-9
+    epsilon: float = FloatBackend.epsilon
     seed: int = 42
     trials: int = 100
 

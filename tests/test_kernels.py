@@ -2,10 +2,11 @@
 
 ``compose``, ``apply``, ``mul``, ``right_divide``, ``inner`` and
 ``plane_rotation`` work on the integer numerators of ``scalar.cleared``, kept
-per object as ``cleared`` (a matrix's 64 entries flat and row-major).  Exact
-results hold only their reduced cleared form (``Matrix8.scaled``,
-``Octonion.scaled``, both ``scalar.Cleared.scaled``) and build each entry with
-``scalar.quotient`` on first read.  The references below are the direct
+per object as ``cleared`` (a matrix's 64 entries flat and row-major).  Kernel
+results hold only their cleared form, reduced on exact input and values over
+1.0 on floats (``Matrix8.scaled``, ``Octonion.scaled``, both
+``scalar.Cleared.scaled``), and build each entry with ``scalar.quotient`` on
+first read.  The references below are the direct
 Fraction/float formulas: on exact inputs the kernels must give the same values
 as reduced Fractions, and on float inputs (mixed with int basis entries,
 Fractions and int zeros) the same bits.  ``mat_eq``, ``oct_eq``,
@@ -554,10 +555,43 @@ def test_float_results_are_values_over_one():
             pairs.append((project_double_cover(a), ref_project_double_cover(a)))
         for got, want in pairs:
             _assert_same_bits(got, want)
-            if isinstance(got, Matrix8):
-                assert got.cleared == (_entries(got), 1.0)
-            else:
-                assert got.cleared == (got.coords, 1.0)
+            nums, scale = got.cleared
+            assert (list(nums), scale) == (_entries(got), 1.0)
+
+
+def test_every_value_carries_its_cleared_form_from_construction():
+    """Float kernel results, float conversions of exact values, and exact
+    negations and conjugates hold only their cleared form until an entry is
+    read, and read back the reference's entries; a value built from its
+    entries is cleared as it is made."""
+    rng = random.Random("kernels|one-model")
+    a, b = _float_matrix(rng), _float_matrix(rng)
+    x, y = _float_octonion(rng), _float_octonion(rng)
+    p, c = _float_plane(rng), rng.uniform(-1, 1)
+    t = CirclePoint(c, math.sqrt(1 - c * c))
+    xe, ae = _exact_octonion(rng, 32), _exact_matrix(rng, 32)
+    floats = [
+        (compose(a, b), ref_compose(a, b)),
+        (apply(a, x), ref_apply(a, x)),
+        (mul(x, y), ref_mul(x, y)),
+        (plane_rotation(p, t, FLOAT), ref_plane_rotation(p, t)),
+        (project_double_cover(a), ref_project_double_cover(a)),
+        (FLOAT.convert(xe), xe.map_scalars(float)),
+        (FLOAT.convert(ae), ae.map_scalars(float)),
+    ]
+    exact = [
+        (-xe, Octonion(tuple(-q for q in xe.coords))),
+        (-ae, Matrix8(tuple(tuple(-q for q in row) for row in ae.rows))),
+        (conj(xe), Octonion(xe.coords[:1] + tuple(-q for q in xe.coords[1:]))),
+    ]
+    for check, pairs in ((_assert_same_bits, floats), (_assert_exact_equal, exact)):
+        for got, want in pairs:
+            assert got._field not in vars(got) and "cleared" in vars(got)
+            check(got, want)
+            assert got._field in vars(got)
+    for built in (Octonion(x.coords), Matrix8(a.rows), Octonion(xe.coords), Matrix8(ae.rows)):
+        nums, scale = vars(built)["cleared"]
+        assert (list(nums), scale) == cleared(_entries(built))
 
 
 def test_project_double_cover_keeps_the_exact_zero_error():

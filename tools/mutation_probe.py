@@ -20,7 +20,7 @@ records equal those of the unmutated copy.  The probe prints every survivor
 and a summary line, and exits 0; on all six modules it takes a few minutes.
 
 A survivor is a test that the report at this seed does not depend on.  At
-the last count, 177 of 335 mutants survived and 2 timed out, in 122 s on a
+the last count, 176 of 333 mutants survived and 2 timed out, in 129 s on a
 shared 2-core host, in six expected groups:
 - pure shortcuts, which skip work whose result is the same:
   ``mul_numerators``' test of the table identities (a run rebinds no table,
@@ -41,8 +41,9 @@ shared 2-core host, in six expected groups:
   so a verdict forced to pass (among them ``_orthogonal_determinant``'s sign
   forced to +1), or an error forced not to raise (the plane,
   frame, singular-system and zero-division guards, ``circle_samples``' test
-  of the sample count, and the winding count's antipode test, which no wound
-  map reaches), leaves it unchanged;
+  of the sample count, the winding count's antipode test, which no wound
+  map reaches, and ``Cleared.__getattr__``'s test of the name, as a run
+  looks up no missing attribute but the field), leaves it unchanged;
 - conventions that any consistent choice meets: ``_is_upper``'s tie-break
   with either operand dropped moves the image points on the real axis (the
   lattice samples include (-m, 0) and (m, 0)) to the other side, and a closed
@@ -52,7 +53,8 @@ shared 2-core host, in six expected groups:
   unchanged, and ``so_check``'s zero-residual test dropped sends only a matrix
   that fails anyway to the residue path;
 - code the verify command does not run: parsing (``parse_circle_point``,
-  ``FloatBackend.parse``), ``format_frame_table``, ``make_backend``,
+  ``FloatBackend.parse``, and ``Matrix8.from_rows``' shape check, which only
+  ``parse_matrix`` reaches), ``format_frame_table``, ``make_backend``,
   ``spin8_map``, ``f5``'s support test and argument validation, and
   ``over_one_scale``'s scale-1 test forced True, which misreads only a
   rational operand over another scale beside floats (a float run converts
